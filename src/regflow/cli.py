@@ -115,13 +115,7 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> int:
     except IntegrationError as exc:
         if exc.partial is not None and "trajectory_csv" in ops:
             exc.partial.to_csv(out_dir / f"{name}_trajectory.csv")
-        report["partial"] = True
-        report["error"] = str(exc)
-        report["passed"] = False
-        if "report_json" in ops:
-            _write_json(out_dir / f"{name}_report.json", report)
-        print(f"ERROR  {name}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(scenario, report, exc, out_dir)
 
     if "trajectory_csv" in ops:
         traj.to_csv(out_dir / f"{name}_trajectory.csv")
@@ -129,13 +123,29 @@ def run_scenario(scenario: Scenario, out_dir: Path) -> int:
     try:
         return _run_post_trajectory(scenario, traj, out_dir, report)
     except _NUMERIC_ERRORS as exc:
-        report["partial"] = True
-        report["error"] = str(exc)
-        report["passed"] = False
-        if "report_json" in ops:
-            _write_json(out_dir / f"{name}_report.json", report)
-        print(f"ERROR  {name}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(scenario, report, exc, out_dir)
+
+
+def _fail(scenario: Scenario, report: dict, exc: Exception, out_dir: Path) -> int:
+    """Record a numeric failure as a partial report and return its exit code."""
+    report["partial"] = True
+    report["error"] = str(exc)
+    report["passed"] = False
+    if "report_json" in scenario.outputs:
+        _write_json(out_dir / f"{scenario.name}_report.json", report)
+    print(f"ERROR  {scenario.name}: {exc}", file=sys.stderr)
+    return EXIT_NUMERIC
+
+
+def _fit_doc(traj: Trajectory, metric: str, model: str) -> dict:
+    """The rate-fit document: both models and the choice for "auto", else one fit."""
+    if model == "auto":
+        exp_fit, pow_fit, chosen = select_model(traj, metric)
+        return {"metric": metric, "chosen": chosen,
+                "exponential": exp_fit.to_dict(), "powerlaw": pow_fit.to_dict()}
+    fit = fit_decay(traj, metric, model)
+    return {"metric": metric, "chosen": model,
+            model: None if fit is None else fit.to_dict()}
 
 
 def _run_post_trajectory(scenario: Scenario, traj: Trajectory, out_dir: Path,
@@ -153,15 +163,7 @@ def _run_post_trajectory(scenario: Scenario, traj: Trajectory, out_dir: Path,
             _write_json(out_dir / f"{name}_regularity.json", estimate.to_dict())
 
     if scenario.rate_fit is not None:
-        rf_cfg = scenario.rate_fit
-        if rf_cfg["model"] == "auto":
-            exp_fit, pow_fit, chosen = select_model(traj, rf_cfg["metric"])
-            fit_doc = {"metric": rf_cfg["metric"], "chosen": chosen,
-                       "exponential": exp_fit.to_dict(), "powerlaw": pow_fit.to_dict()}
-        else:
-            fit = fit_decay(traj, rf_cfg["metric"], rf_cfg["model"])
-            fit_doc = {"metric": rf_cfg["metric"], "chosen": rf_cfg["model"],
-                       rf_cfg["model"]: None if fit is None else fit.to_dict()}
+        fit_doc = _fit_doc(traj, scenario.rate_fit["metric"], scenario.rate_fit["model"])
         if "ratefit_json" in ops:
             _write_json(out_dir / f"{name}_ratefit.json", fit_doc)
         report["rate_fit"] = fit_doc
@@ -255,27 +257,22 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
         for gamma in np.linspace(0.2, 0.8, 5):
             record(verify_comparison_lemmas(float(alpha), float(gamma), 1.0))
 
-    # lemma sweeps over the bundled SQNE families
+    # lemma sweeps over the bundled SQNE families (every member 1-SQNE)
     pts = sample_region(Region(np.zeros(2), 10.0), 500, seed)
     l1, l2 = Hyperplane([0.0, 1.0], 0.0), Hyperplane([1.0, 0.0], 0.0)
-    axes_oracle = Intersection([l1, l2])
-    record(check_combination_bound([projector(l1), projector(l2)], [0.5, 0.5],
-                                   [1.0, 1.0], pts, axes_oracle))
-    record(check_composition_bound([projector(l1), projector(l2)],
-                                   [1.0, 1.0], pts, axes_oracle))
-    b1, b2, b3 = (Box([0.0, 0.0], [2.0, 2.0]), Box([1.0, 0.5], [3.0, 3.0]),
-                  Box([0.5, 1.0], [2.5, 2.5]))
-    boxes_oracle = Intersection([b1, b2, b3])
-    box_ps = [projector(b) for b in (b1, b2, b3)]
-    third = 1.0 / 3.0
-    record(check_combination_bound(box_ps, [third, third, 1.0 - 2.0 * third],
-                                   [1.0, 1.0, 1.0], pts, boxes_oracle))
-    record(check_composition_bound(box_ps, [1.0, 1.0, 1.0], pts, boxes_oracle))
+    boxes = (Box([0.0, 0.0], [2.0, 2.0]), Box([1.0, 0.5], [3.0, 3.0]),
+             Box([0.5, 1.0], [2.5, 2.5]))
     h1, h2 = HalfSpace([1.0, 0.0], 0.0), HalfSpace([0.0, 1.0], 0.0)
-    dr_oracle = Intersection([h1, h2])
-    drs = [douglas_rachford(h1, h2), douglas_rachford(h2, h1)]
-    record(check_combination_bound(drs, [0.5, 0.5], [1.0, 1.0], pts, dr_oracle))
-    record(check_composition_bound(drs, [1.0, 1.0], pts, dr_oracle))
+    third = 1.0 / 3.0
+    for ops, weights, fix_sets in (
+        ([projector(l1), projector(l2)], [0.5, 0.5], [l1, l2]),
+        ([projector(b) for b in boxes], [third, third, 1.0 - 2.0 * third], boxes),
+        ([douglas_rachford(h1, h2), douglas_rachford(h2, h1)], [0.5, 0.5], [h1, h2]),
+    ):
+        oracle = Intersection(fix_sets)
+        rhos = [1.0] * len(ops)
+        record(check_combination_bound(ops, weights, rhos, pts, oracle))
+        record(check_composition_bound(ops, rhos, pts, oracle))
 
     # trajectory inequality checks over the continuous corpus
     for sname in CONTINUOUS:
@@ -375,16 +372,8 @@ def _cmd_rate(args) -> int:
     if metric is None:
         has_dist = all(s.dist_fix is not None for s in traj.samples)
         metric = "dist_fix" if has_dist else "residual"
-    if args.model == "auto":
-        exp_fit, pow_fit, chosen = select_model(traj, metric)
-        doc = {"metric": metric, "chosen": chosen,
-               "exponential": exp_fit.to_dict(), "powerlaw": pow_fit.to_dict()}
-    else:
-        model = {"exp": "exponential", "pow": "powerlaw"}[args.model]
-        fit = fit_decay(traj, metric, model)
-        doc = {"metric": metric, "chosen": model,
-               model: None if fit is None else fit.to_dict()}
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    model = {"exp": "exponential", "pow": "powerlaw", "auto": "auto"}[args.model]
+    print(json.dumps(_fit_doc(traj, metric, model), indent=2, sort_keys=True))
     return EXIT_OK
 
 

@@ -7,6 +7,8 @@ failures carry the offending field path (e.g. ``operator.children.weights``).
 """
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,35 +77,35 @@ def _need(node: dict, key: str, path: str):
     return node[key]
 
 
+def _finite(value) -> bool:
+    """True for a JSON number within the finite float range (JSON also parses
+    1e400 to inf, and NaN, Infinity and integers of any size)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _number(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(path, f"expected a number, got {value!r}")
+    if not _finite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _vector(value, path: str, dim: Optional[int] = None) -> np.ndarray:
-    if not isinstance(value, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigError(path, "expected a list of numbers")
+    if not isinstance(value, list) or not all(_finite(v) for v in value):
+        raise ConfigError(path, "expected a list of finite numbers")
     arr = np.asarray(value, dtype=float)
     if dim is not None and arr.size != dim:
         raise ConfigError(path, f"expected {dim} entries, got {arr.size}")
     return arr
 
 
+@contextmanager
 def _wrap(path: str):
     """Re-raise library construction/usage errors as config errors at ``path``."""
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc_type is not None and issubclass(exc_type, (ConstructionError, UsageError)):
-                raise ConfigError(path, str(exc)) from exc
-            return False
-
-    return _Ctx()
+    try:
+        yield
+    except (ConstructionError, UsageError) as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def build_set(node, path: str, dim: int) -> PrimitiveSet:

@@ -3,16 +3,18 @@
 The distance to a fixed-point set is the quantity every rate theorem here is
 phrased in, so oracles return a ``DistanceResult`` carrying the witness point
 and a measured certificate of how well the witness satisfies the constraints,
-not just a number.
+not just a number. Oracles answer a point ``(d,)`` or, row-wise, a batch
+``(n, d)``, validated once on entry.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, UsageError
-from .sets import PrimitiveSet, is_affine
-from .validation import as_point
+from .sets import Hyperplane, PrimitiveSet, is_affine, matvec, row_norm
+from .validation import as_point, as_vector
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -23,49 +25,63 @@ class DistanceResult:
     """Distance to a target set, with the nearest point found.
 
     ``witness`` lies in the target set up to ``certified_tol`` (measured, not
-    assumed) and ``distance`` is exactly ``||x - witness||`` as computed.
+    assumed) and ``distance`` is exactly ``||x - witness||`` as computed. For a
+    batch ``(n, d)`` each field carries a leading ``n`` axis.
     """
 
-    distance: float
+    distance: float | np.ndarray
     witness: np.ndarray
-    certified_tol: float
+    certified_tol: float | np.ndarray
 
 
-def residual(op, x) -> float:
-    """||x - T(x)||, the quantity whose vanishing certifies a fixed point."""
+def residual(op, x):
+    """||x - T(x)|| row-wise, the quantity whose vanishing certifies a fixed point."""
     x = as_point(x, op.dim)
-    return float(np.linalg.norm(x - op(x)))
+    return row_norm(x - op.fn(x))
 
 
-def _affine_rows(sets: list[PrimitiveSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack each affine set as rows of an equality system R z = r."""
-    rows, rhs = [], []
-    for s in sets:
-        if type(s).__name__ == "Hyperplane":
-            rows.append(s.normal)
-            rhs.append(s.offset)
-        else:  # AffineSubspace: x in set  <=>  (I - QQ^T)(x - offset) = 0
-            comp = np.eye(s.dim) - s.onb @ s.onb.T
-            rows.append(comp)
-            rhs.append(comp @ s.offset)
-    R = np.vstack([np.atleast_2d(r) for r in rows])
-    r = np.concatenate([np.atleast_1d(v) for v in rhs])
-    return R, r
+def _violation(sets: list[PrimitiveSet], witness: np.ndarray):
+    """max_i d(witness, C_i), measured through each set's public distance."""
+    worst = reduce(np.maximum, (s.distance(witness) for s in sets))
+    return float(worst) if np.ndim(worst) == 0 else worst
+
+
+class _FactoredAffine(tuple):
+    """Affine sets with the projector onto their intersection factored once:
+    the minimum-norm correction x - R^+(Rx - r) = Mx + shift of the stacked
+    system R z = r, exact even when its rows are dependent."""
+
+    def __new__(cls, sets):
+        self = super().__new__(cls, sets)
+        rows, rhs = [], []
+        for s in self:
+            if isinstance(s, Hyperplane):
+                rows.append(s.normal[None, :])
+                rhs.append([s.offset])
+            else:  # AffineSubspace: x in set  <=>  (I - QQ^T)(x - offset) = 0
+                comp = np.eye(s.dim) - s.onb @ s.onb.T
+                rows.append(comp)
+                rhs.append(comp @ s.offset)
+        R, r = np.vstack(rows), np.concatenate(rhs)
+        pinv = np.linalg.pinv(R, rcond=1e-13)
+        self.matrix = np.eye(R.shape[1]) - pinv @ R
+        self.shift = pinv @ r
+        return self
 
 
 def affine_intersection_project(sets: list[PrimitiveSet], x) -> DistanceResult:
     """Exact nearest point of an intersection of hyperplanes/affine subspaces.
 
-    Uses the minimum-norm correction x - R^+(Rx - r), which is the orthogonal
-    projection onto {z : Rz = r} even when the stacked rows are dependent.
+    ``sets`` are factored unless an ``Intersection`` passes them pre-factored;
+    the query itself is one matrix product.
     """
-    if not sets or not all(is_affine(s) for s in sets):
-        raise UsageError("affine_intersection_project requires affine sets only")
+    if not isinstance(sets, _FactoredAffine):
+        if not sets or not all(is_affine(s) for s in sets):
+            raise UsageError("affine_intersection_project requires affine sets only")
+        sets = _FactoredAffine(sets)
     x = as_point(x, sets[0].dim)
-    R, r = _affine_rows(sets)
-    witness = x - np.linalg.pinv(R, rcond=1e-13) @ (R @ x - r)
-    cert = max(s.distance(witness) for s in sets)
-    return DistanceResult(float(np.linalg.norm(x - witness)), witness, cert)
+    witness = matvec(sets.matrix, x) + sets.shift
+    return DistanceResult(row_norm(x - witness), witness, _violation(sets, witness))
 
 
 def dykstra_project(
@@ -74,15 +90,15 @@ def dykstra_project(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> DistanceResult:
-    """Project ``x`` onto the intersection of ``sets`` by Dykstra's algorithm.
+    """Project ``x`` (a point or each row of a batch) onto the intersection of
+    ``sets`` by Dykstra's algorithm.
 
     Plain alternating projections only find *some* feasible point; the
     correction terms below are what make the limit the nearest point, which is
-    what the distance function needs. Stops when the cycle-to-cycle movement of
-    the iterate and the worst constraint violation both drop below ``tol``.
-
-    Raises ConvergenceError carrying the best iterate if ``max_iter`` cycles
-    are exhausted first.
+    what the distance function needs. A row stops when the cycle-to-cycle
+    movement of its iterate and its worst constraint violation both drop below
+    ``tol``. Raises ConvergenceError naming the first failing row, carrying the
+    best iterates, if ``max_iter`` cycles are exhausted first.
     """
     if not sets:
         raise UsageError("need at least one set")
@@ -94,29 +110,37 @@ def dykstra_project(
             raise UsageError("all sets must share one ambient dimension")
     x = as_point(x, dim)
 
-    z = x.copy()
-    increments = [np.zeros(dim) for _ in sets]
+    z = np.atleast_2d(x)
+    out, rows = z.copy(), np.arange(z.shape[0])  # rows: those still cycling
+    increments = np.zeros((len(sets),) + z.shape)
     for _ in range(max_iter):
+        if not rows.size:
+            break
         z_prev = z
         for i, s in enumerate(sets):
-            y = s.project(z + increments[i])
-            increments[i] = z + increments[i] - y
-            z = y
-        move = float(np.linalg.norm(z - z_prev))
-        violation = max(s.distance(z) for s in sets)
-        if move < tol and violation < tol:
-            return DistanceResult(float(np.linalg.norm(x - z)), z, violation)
-    best = DistanceResult(float(np.linalg.norm(x - z)), z,
-                          max(s.distance(z) for s in sets))
-    raise ConvergenceError(
-        f"Dykstra did not meet tol={tol:g} within {max_iter} cycles "
-        f"(violation {best.certified_tol:.3e})",
-        result=best,
-    )
+            shifted = z + increments[i]
+            z = s._project(shifted)
+            increments[i] = shifted - z
+        violation = reduce(np.maximum, (row_norm(z - s._project(z)) for s in sets))
+        done = (row_norm(z - z_prev) < tol) & (violation < tol)
+        if done.any():
+            out[rows[done]] = z[done]
+            rows, z, increments = rows[~done], z[~done], increments[:, ~done]
+    else:
+        out[rows] = z
+    witness = out if x.ndim == 2 else out[0]
+    result = DistanceResult(row_norm(x - witness), witness, _violation(sets, witness))
+    if rows.size:
+        raise ConvergenceError(
+            f"Dykstra did not meet tol={tol:g} within {max_iter} cycles at row "
+            f"{rows[0]} (violation {np.atleast_1d(result.certified_tol)[rows[0]]:.3e})",
+            result=result,
+        )
+    return result
 
 
 class FixSetOracle:
-    """Computes d(x, F) for a declared fixed-point set F."""
+    """Computes d(x, F) for a declared fixed-point set F, row-wise on a batch."""
 
     dim: int
 
@@ -139,8 +163,8 @@ class ExactSet(FixSetOracle):
 
     def distance_to(self, x) -> DistanceResult:
         x = as_point(x, self.dim)
-        w = self.set.project(x)
-        return DistanceResult(float(np.linalg.norm(x - w)), w, self.set.distance(w))
+        w = self.set._project(x)
+        return DistanceResult(row_norm(x - w), w, self.set.distance(w))
 
     def describe(self) -> str:
         return f"ExactSet({self.set.describe()})"
@@ -150,12 +174,14 @@ class SinglePoint(FixSetOracle):
     """Fix T known to be a single point."""
 
     def __init__(self, point):
-        self.point = as_point(point, name="point")
+        self.point = as_vector(point, name="point")
         self.dim = self.point.shape[0]
 
     def distance_to(self, x) -> DistanceResult:
         x = as_point(x, self.dim)
-        return DistanceResult(float(np.linalg.norm(x - self.point)), self.point.copy(), 0.0)
+        w = np.empty_like(x)
+        w[...] = self.point
+        return DistanceResult(row_norm(x - w), w, row_norm(w - self.point))
 
     def describe(self) -> str:
         return f"SinglePoint(dim={self.dim})"
@@ -165,8 +191,8 @@ class Intersection(FixSetOracle):
     """Fix T = intersection of primitive sets (the composite-operator case).
 
     Nonemptiness is asserted at construction by projecting the origin, so
-    query cost stays predictable. All-affine collections use the exact linear
-    solve; anything else runs Dykstra with this oracle's tolerances.
+    query cost stays predictable. All-affine collections factor their exact
+    projector once; anything else runs Dykstra with this oracle's tolerances.
     """
 
     def __init__(self, sets: list[PrimitiveSet], tol: float = DEFAULT_TOL,
@@ -182,7 +208,8 @@ class Intersection(FixSetOracle):
         self.dim = dim
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self._affine = all(is_affine(s) for s in self.sets)
+        self._affine = (_FactoredAffine(self.sets)
+                        if all(is_affine(s) for s in self.sets) else None)
         try:
             probe = self.distance_to(np.zeros(dim))
         except ConvergenceError as exc:
@@ -197,8 +224,8 @@ class Intersection(FixSetOracle):
             )
 
     def distance_to(self, x) -> DistanceResult:
-        if self._affine:
-            return affine_intersection_project(self.sets, x)
+        if self._affine is not None:
+            return affine_intersection_project(self._affine, x)
         return dykstra_project(self.sets, x, tol=self.tol, max_iter=self.max_iter)
 
     def describe(self) -> str:

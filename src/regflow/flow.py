@@ -18,9 +18,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, IntegrationError, UsageError
-from .fixset import FixSetOracle
+from .fixset import FixSetOracle, residual
 from .operators import Operator
-from .validation import as_point
+from .validation import as_vector
 
 # Residual below which the final iterate is trusted as the limit point.
 LIMIT_RESIDUAL_TOL = 1e-9
@@ -244,27 +244,33 @@ class Trajectory:
 
     @staticmethod
     def from_csv(path) -> "Trajectory":
-        samples = []
+        """Read a ``to_csv`` file; malformed ones raise UsageError naming file and line."""
         try:
             fh = open(path, newline="")
         except OSError as exc:
             raise UsageError(f"cannot read trajectory CSV {path}: {exc}")
         with fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            dim = len(header) - 4
-            if dim < 1 or header[0] != "t" or header[-3:] != ["residual", "dist_fix", "speed"]:
-                raise UsageError(f"{path}: not a trajectory CSV")
-            for row in reader:
-                t = float(row[0])
-                x = np.array([float(v) for v in row[1:1 + dim]])
-                res = float(row[1 + dim])
-                dist = None if row[2 + dim] == "" else float(row[2 + dim])
-                speed = float(row[3 + dim])
-                samples.append(TrajectorySample(t, x, res, speed, dist))
+            try:
+                header = next(reader, [])
+                dim = len(header) - 4
+                if dim < 1 or header[0] != "t" or header[-3:] != ["residual", "dist_fix",
+                                                                   "speed"]:
+                    raise UsageError("not a trajectory CSV")
+                samples = [_parse_row(row, dim) for row in reader]
+            except (ValueError, csv.Error) as exc:  # UsageError is a ValueError too
+                raise UsageError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
         ts = np.array([s.t for s in samples])
         mode = "discrete" if np.all(ts == np.round(ts)) else "continuous"
         return Trajectory(samples, mode, schedule=None, info={"source": "csv"})
+
+
+def _parse_row(row: list[str], dim: int) -> TrajectorySample:
+    if len(row) < dim + 4:
+        raise UsageError(f"expected {dim + 4} fields, got {len(row)}")
+    t, *x, res, dist, speed = row[:dim + 4]
+    return TrajectorySample(float(t), np.array([float(v) for v in x]), float(res),
+                            float(speed), None if dist == "" else float(dist))
 
 
 def _fmt(v: float) -> str:
@@ -275,19 +281,31 @@ def _fmt(v: float) -> str:
 # Metric evaluation
 # ---------------------------------------------------------------------------
 
-def _make_sample(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
-                 t: float, x: np.ndarray) -> TrajectorySample:
-    res = float(np.linalg.norm(x - op(x)))
-    lam = schedule(t)
-    dist = oracle.distance_to(x).distance if oracle is not None else None
-    return TrajectorySample(float(t), x, res, lam * res, dist)
+def _measured(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
+              times, states, dists, mode: str, info: dict) -> Trajectory:
+    """Trajectory through ``(times, states)``: residual and speed from one batch
+    evaluation of T, dist_fix from ``oracle`` (else ``dists``) one sample at a
+    time, as perfbench/test_perfbench_trace.py counts; failures name the sample."""
+    res = residual(op, np.array(states))
+    if oracle is not None:
+        dists = []
+        for i, (t, x) in enumerate(zip(times, states)):
+            try:
+                dists.append(oracle.distance_to(x).distance)
+            except ConvergenceError as exc:
+                raise ConvergenceError(f"oracle failed at sample {i} (t={t:g}): {exc}",
+                                       result=exc.result) from exc
+    samples = [TrajectorySample(float(t), x, float(r), schedule(t) * float(r), d)
+               for t, x, r, d in zip(times, states, res, dists)]
+    limit = samples[-1].x.copy() if samples[-1].residual < LIMIT_RESIDUAL_TOL else None
+    return Trajectory(samples, mode, schedule, limit, info)
 
 
 def _finalize(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
               points: list[tuple[float, np.ndarray]], mode: str, info: dict) -> Trajectory:
-    samples = [_make_sample(op, schedule, oracle, t, x) for t, x in points]
-    limit = samples[-1].x.copy() if samples[-1].residual < LIMIT_RESIDUAL_TOL else None
-    return Trajectory(samples, mode, schedule, limit, info)
+    times, states = zip(*points)
+    return _measured(op, schedule, oracle, times, states, [None] * len(points),
+                     mode, info)
 
 
 def sample_metrics(traj: Trajectory, op: Operator,
@@ -298,23 +316,9 @@ def sample_metrics(traj: Trajectory, op: Operator,
     """
     if traj.schedule is None:
         raise UsageError("trajectory carries no schedule; cannot recompute speed")
-    new = []
-    for i, s in enumerate(traj.samples):
-        res = float(np.linalg.norm(s.x - op(s.x)))
-        lam = traj.schedule(s.t)
-        if oracle is not None:
-            try:
-                dist = oracle.distance_to(s.x).distance
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"oracle failed at sample {i} (t={s.t:g}): {exc}",
-                    result=exc.result,
-                ) from exc
-        else:
-            dist = s.dist_fix
-        new.append(TrajectorySample(s.t, s.x, res, lam * res, dist))
-    limit = new[-1].x.copy() if new[-1].residual < LIMIT_RESIDUAL_TOL else None
-    return Trajectory(new, traj.mode, traj.schedule, limit, dict(traj.info))
+    return _measured(op, traj.schedule, oracle, [s.t for s in traj.samples],
+                     [s.x for s in traj.samples], [s.dist_fix for s in traj.samples],
+                     traj.mode, dict(traj.info))
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +365,7 @@ def km_iterate(op: Operator, x0, lambdas, K: int,
     """
     if K < 1:
         raise UsageError("K must be >= 1")
-    x0 = as_point(x0, op.dim)
+    x0 = as_vector(x0, op.dim)
     lam_seq, schedule = _schedule_from(lambdas, int(K))
     return _run_discrete(op, x0, lam_seq, oracle, schedule, stride=1,
                          info={"method": "km", "K": int(K)})
@@ -463,7 +467,7 @@ def integrate_flow(op: Operator, x0, schedule: LambdaSchedule,
     step straddles one. With the unit-step Euler method the run *is* the
     relaxed iteration and matches km_iterate bit for bit at integer times.
     """
-    x0 = as_point(x0, op.dim)
+    x0 = as_vector(x0, op.dim)
     if config.method == "euler_unit":
         K = int(round(config.t_end))
         if abs(config.t_end - K) > _UNIT_GRID_TOL or K < 1:

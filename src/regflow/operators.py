@@ -1,6 +1,8 @@
 """Operator abstraction, proximal maps, and the combinators used throughout.
 
-Every constructor here yields a nonexpansive self-map of R^n. Metadata records
+Every constructor here yields a nonexpansive self-map of R^n whose ``fn`` maps
+a point ``(d,)`` or each row of a batch ``(n, d)``; ``Operator.__call__``
+validates once, combinators call their children's raw ``fn``. Metadata records
 an averagedness constant alpha and/or a strong-quasinonexpansiveness modulus
 rho only when the construction certifies one; combinators that cannot certify
 a modulus leave it unset rather than fabricate a value.
@@ -13,8 +15,8 @@ import numpy as np
 
 from .errors import ConstructionError, UsageError
 from .fixset import ExactSet, FixSetOracle
-from .sets import Ball, Box, HalfSpace, Hyperplane, AffineSubspace, PrimitiveSet
-from .validation import as_matrix, as_point
+from .sets import Ball, Box, HalfSpace, Hyperplane, AffineSubspace, PrimitiveSet, matvec
+from .validation import as_matrix, as_point, as_vector
 
 __all__ = [
     "OperatorMeta", "Operator", "SimpleFunction", "Indicator", "L1Norm",
@@ -69,8 +71,7 @@ class Operator:
     fix_oracle: Optional[FixSetOracle] = None
 
     def __call__(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
-        return np.asarray(self.fn(x), dtype=float)
+        return np.asarray(self.fn(as_point(x, self.dim)), dtype=float)
 
     @property
     def label(self) -> str:
@@ -84,7 +85,7 @@ def apply(op: Operator, x) -> np.ndarray:
 
 def project(set_: PrimitiveSet, x) -> np.ndarray:
     """Nearest point of ``set_`` to ``x``."""
-    return set_.project(as_point(x, set_.dim))
+    return set_.project(x)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def project(set_: PrimitiveSet, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class SimpleFunction:
-    """Proper lsc convex function with a closed-form proximal map."""
+    """Proper lsc convex function with a closed-form proximal map (row-wise ``prox``)."""
 
     dim: Optional[int] = None  # None = any dimension
 
@@ -114,7 +115,7 @@ class Indicator(SimpleFunction):
         return 0.0 if self.set.contains(x) else float("inf")
 
     def prox(self, x, step: float) -> np.ndarray:
-        return self.set.project(x)
+        return self.set._project(x)
 
 
 class L1Norm(SimpleFunction):
@@ -126,10 +127,9 @@ class L1Norm(SimpleFunction):
         self.weight = float(weight)
 
     def value(self, x) -> float:
-        return self.weight * float(np.sum(np.abs(as_point(x))))
+        return self.weight * float(np.sum(np.abs(as_vector(x))))
 
     def prox(self, x, step: float) -> np.ndarray:
-        x = as_point(x)
         thr = step * self.weight
         return np.sign(x) * np.maximum(np.abs(x) - thr, 0.0)
 
@@ -138,7 +138,7 @@ class Quadratic(SimpleFunction):
     """f(x) = 1/2 x'Qx - c'x for symmetric PSD Q; prox solves (I + tQ)z = x + tc."""
 
     def __init__(self, Q, c):
-        self.c = as_point(c, name="c")
+        self.c = as_vector(c, name="c")
         self.Q = as_matrix(Q, "Q")
         self.dim = self.c.shape[0]
         if self.Q.shape != (self.dim, self.dim):
@@ -151,22 +151,19 @@ class Quadratic(SimpleFunction):
         self.max_eig = float(eigs[-1])
 
     def value(self, x) -> float:
-        x = as_point(x, self.dim)
+        x = as_vector(x, self.dim)
         return 0.5 * float(x @ self.Q @ x) - float(self.c @ x)
 
     def prox(self, x, step: float) -> np.ndarray:
-        x = as_point(x, self.dim)
         A = np.eye(self.dim) + step * self.Q
-        return np.linalg.solve(A, x + step * self.c)
+        return np.linalg.solve(A, (x + step * self.c)[..., None])[..., 0]
 
 
 def prox(fn: SimpleFunction, step: float, x) -> np.ndarray:
     """argmin_z { step*fn(z) + 1/2 ||z - x||^2 }."""
     if not step > 0.0:
         raise UsageError(f"prox step must be positive, got {step}")
-    if fn.dim is not None:
-        x = as_point(x, fn.dim)
-    return fn.prox(x, float(step))
+    return fn.prox(as_point(x, fn.dim), float(step))
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +177,14 @@ def identity(dim: int) -> Operator:
 def projector(set_: PrimitiveSet) -> Operator:
     """Nearest-point projector; firmly nonexpansive, i.e. 1/2-averaged and 1-SQNE."""
     meta = OperatorMeta(label=f"P[{set_.describe()}]", alpha=0.5)
-    return Operator(set_.project, set_.dim, meta, fix_oracle=ExactSet(set_))
+    return Operator(set_._project, set_.dim, meta, fix_oracle=ExactSet(set_))
 
 
 def reflect(set_: PrimitiveSet) -> Operator:
     """x -> 2 P(x) - x. Nonexpansive but not averaged; fixed points are the set itself."""
 
     def fn(x):
-        return 2.0 * set_.project(x) - x
+        return 2.0 * set_._project(x) - x
 
     meta = OperatorMeta(label=f"R[{set_.describe()}]")
     return Operator(fn, set_.dim, meta, fix_oracle=ExactSet(set_))
@@ -204,8 +201,8 @@ def douglas_rachford(set_l: PrimitiveSet, set_j: PrimitiveSet,
         raise UsageError("Douglas-Rachford sets must share one dimension")
 
     def fn(x):
-        pl = set_l.project(x)
-        return x + set_j.project(2.0 * pl - x) - pl
+        pl = set_l._project(x)
+        return x + set_j._project(2.0 * pl - x) - pl
 
     meta = OperatorMeta(label=f"DR[{set_l.describe()}, {set_j.describe()}]", alpha=0.5)
     return Operator(fn, set_l.dim, meta, fix_oracle=fix_oracle)
@@ -220,21 +217,14 @@ def forward_backward(g: SimpleFunction, Q, c, lipschitz: float, step: float,
     The fixed-point set (the constrained minimizers) is declared via
     ``fix_oracle`` when known, never inferred.
     """
-    c = as_point(c, name="c")
-    Q = as_matrix(Q, "Q")
-    dim = c.shape[0]
-    if Q.shape != (dim, dim):
-        raise ConstructionError(f"Q must be {dim}x{dim}")
-    if not np.allclose(Q, Q.T, atol=1e-12):
-        raise ConstructionError("Q must be symmetric")
-    eigs = np.linalg.eigvalsh(Q)
-    if eigs[0] < -1e-10:
-        raise ConstructionError("Q must be PSD")
+    smooth = Quadratic(Q, c)
+    Q, c, dim = smooth.Q, smooth.c, smooth.dim
     if not lipschitz > 0.0:
         raise ConstructionError("lipschitz bound must be positive")
-    if eigs[-1] > lipschitz * (1.0 + 1e-12) + 1e-12:
+    if smooth.max_eig > lipschitz * (1.0 + 1e-12) + 1e-12:
         raise ConstructionError(
-            f"lipschitz={lipschitz} does not bound the largest eigenvalue {eigs[-1]:.6g}"
+            f"lipschitz={lipschitz} does not bound the largest eigenvalue "
+            f"{smooth.max_eig:.6g}"
         )
     if not 0.0 < step < 2.0 / lipschitz:
         raise ConstructionError(
@@ -244,7 +234,7 @@ def forward_backward(g: SimpleFunction, Q, c, lipschitz: float, step: float,
         raise UsageError(f"g has dimension {g.dim}, smooth part has {dim}")
 
     def fn(x):
-        return g.prox(x - step * (Q @ x - c), step)
+        return g.prox(x - step * (matvec(Q, x) - c), step)
 
     alpha = 2.0 / (4.0 - step * lipschitz)
     meta = OperatorMeta(label="forward_backward", alpha=alpha)
@@ -271,7 +261,7 @@ def convex_combination(ops: list[Operator], weights) -> Operator:
     def fn(x):
         out = np.zeros_like(x)
         for wi, op in zip(w, ops):
-            out = out + wi * op(x)
+            out = out + wi * op.fn(x)
         return out
 
     meta = OperatorMeta(
@@ -292,7 +282,7 @@ def compose(ops: list[Operator]) -> Operator:
 
     def fn(x):
         for op in ops:
-            x = op(x)
+            x = op.fn(x)
         return x
 
     meta = OperatorMeta(
@@ -313,7 +303,7 @@ def relax(op: Operator, lam: float) -> Operator:
         raise UsageError(f"relaxation parameter must lie in [0,1], got {lam}")
 
     def fn(x):
-        return (1.0 - lam) * x + lam * op(x)
+        return (1.0 - lam) * x + lam * op.fn(x)
 
     alpha = lam if 0.0 < lam < 1.0 else None
     meta = OperatorMeta(label=f"relax[{op.label}, {lam:g}]", alpha=alpha)

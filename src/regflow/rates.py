@@ -16,8 +16,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import FitError, UsageError
 from .flow import LambdaSchedule, Trajectory
-from .regularity import InequalityReport, _report
-from .validation import as_point
+from .regularity import InequalityReport, _report, _schedule
+from .validation import as_vector
 
 # Fit window default: drop the early transient, keep the last 80% of samples
 # whose metric still sits above this floor.
@@ -155,7 +155,7 @@ def select_model(
 
 def _resolve_limit(traj: Trajectory, x_bar) -> np.ndarray:
     if x_bar is not None:
-        return as_point(x_bar, traj.dim)
+        return as_vector(x_bar, traj.dim)
     if traj.limit_estimate is None:
         raise UsageError(
             "trajectory has no limit_estimate (final residual above threshold); "
@@ -188,9 +188,7 @@ def check_linear_rate_bound(
     ``kappa`` must come from an estimate certified on a region containing the
     trajectory. d0 defaults to the first sample's distance.
     """
-    schedule = schedule or traj.schedule
-    if schedule is None:
-        raise UsageError("no schedule available")
+    schedule = _schedule(traj, schedule)
     if not kappa > 0.0:
         raise UsageError("kappa must be positive")
     lam_star = schedule.inf_value
@@ -248,9 +246,7 @@ def check_hoelder_rate_bound(
 
     with M0 built from (kappa, gamma, lam*) as in the proof chain.
     """
-    schedule = schedule or traj.schedule
-    if schedule is None:
-        raise UsageError("no schedule available")
+    schedule = _schedule(traj, schedule)
     if not 0.0 < gamma < 1.0:
         raise UsageError("gamma must lie in (0,1)")
     lam_star = schedule.inf_value

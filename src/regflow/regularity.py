@@ -10,6 +10,7 @@ converges from below as the sample count grows.
 
 The check_* functions evaluate the descent and surrogate inequalities that
 drive the rate proofs, reporting the worst slack (RHS - LHS) over the data.
+Operators and oracles are evaluated on all samples as one ``(n, d)`` batch.
 """
 
 from dataclasses import dataclass
@@ -18,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateEstimateError, UsageError
-from .fixset import FixSetOracle, Intersection
+from .fixset import FixSetOracle, Intersection, residual
 from .flow import LambdaSchedule, Trajectory
 from .operators import Operator, compose, convex_combination
-from .sets import AffineSubspace, Ball, Box, HalfSpace, Hyperplane, PrimitiveSet
-from .validation import as_point
+from .sets import AffineSubspace, Ball, Box, HalfSpace, Hyperplane, PrimitiveSet, row_norm
+from .validation import as_point, as_vector
 
 # Residual (or max set distance) below which a sample is a 0/0 case near the
 # fixed set and is excluded from ratio fits.
@@ -40,7 +41,7 @@ class Region:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_point(self.center, name="center"))
+        object.__setattr__(self, "center", as_vector(self.center, name="center"))
         if not self.radius > 0.0:
             raise UsageError("region radius must be positive")
 
@@ -156,6 +157,19 @@ def _fit_ratio(dists: np.ndarray, resids: np.ndarray, mode: str) -> tuple[float,
     return kappa, gamma
 
 
+def _certify(pts: np.ndarray, base: np.ndarray, oracle: FixSetOracle, mode: str,
+             degenerate: str) -> tuple[float, float, float, int]:
+    """(kappa, gamma, max_violation, excluded) with d(x, F) <= kappa * base^gamma
+    on every sample whose base clears the degeneracy floor."""
+    keep = base >= DEGENERACY_FLOOR
+    if not keep.any():
+        raise DegenerateEstimateError(degenerate)
+    dists = oracle.distance_to(pts[keep]).distance
+    kappa, gamma = _fit_ratio(dists, base[keep], mode)
+    max_violation = float(np.max(dists / (kappa * base[keep] ** gamma)))
+    return kappa, gamma, max_violation, int(np.count_nonzero(~keep))
+
+
 def estimate_operator_regularity(
     op: Operator,
     oracle: FixSetOracle,
@@ -172,24 +186,10 @@ def estimate_operator_regularity(
     if n_samples < 100:
         raise UsageError("need at least 100 samples for a meaningful estimate")
     pts = sample_region(region, n_samples, seed)
-    dists, resids = [], []
-    excluded = 0
-    for x in pts:
-        r = float(np.linalg.norm(x - op(x)))
-        if r < DEGENERACY_FLOOR:
-            excluded += 1
-            continue
-        dists.append(oracle.distance_to(x).distance)
-        resids.append(r)
-    if not resids:
-        raise DegenerateEstimateError(
-            "all samples fell below the degeneracy floor (operator is the "
-            "identity on this region?)"
-        )
-    dists = np.asarray(dists)
-    resids = np.asarray(resids)
-    kappa, gamma = _fit_ratio(dists, resids, mode)
-    max_violation = float(np.max(dists / (kappa * resids ** gamma)))
+    kappa, gamma, max_violation, excluded = _certify(
+        pts, residual(op, pts), oracle, mode,
+        "all samples fell below the degeneracy floor (operator is the "
+        "identity on this region?)")
     return RegularityEstimate(mode, kappa, gamma, region, n_samples,
                               max_violation, excluded)
 
@@ -215,21 +215,9 @@ def estimate_collection_regularity(
     if oracle is None:
         oracle = Intersection(sets)
     pts = sample_region(region, n_samples, seed)
-    inter_d, max_d = [], []
-    excluded = 0
-    for x in pts:
-        md = max(s.distance(x) for s in sets)
-        if md < DEGENERACY_FLOOR:
-            excluded += 1
-            continue
-        inter_d.append(oracle.distance_to(x).distance)
-        max_d.append(md)
-    if not max_d:
-        raise DegenerateEstimateError("all samples lie in every set on this region")
-    inter_d = np.asarray(inter_d)
-    max_d = np.asarray(max_d)
-    tau, theta = _fit_ratio(inter_d, max_d, mode)
-    max_violation = float(np.max(inter_d / (tau * max_d ** theta)))
+    tau, theta, max_violation, excluded = _certify(
+        pts, np.max([s.distance(pts) for s in sets], axis=0), oracle, mode,
+        "all samples lie in every set on this region")
     return CollectionEstimate(tau, theta, region, n_samples, max_violation, excluded)
 
 
@@ -251,25 +239,15 @@ def check_avg_inequality(
     with v = lam(t) (T(x) - x) reconstructed exactly from the operator (no
     finite differences). Samples where lam(t)=0 are skipped and counted.
     """
-    schedule = schedule or traj.schedule
-    if schedule is None:
-        raise UsageError("no schedule available")
-    x_star = as_point(x_star, op.dim)
-    star_res = float(np.linalg.norm(x_star - op(x_star)))
-    if star_res >= 1e-9:
-        raise UsageError(f"x_star is not a fixed point (residual {star_res:.3e})")
-    slacks = []
-    skipped = 0
-    for s in traj.samples:
-        lam = schedule(s.t)
-        if lam <= 0.0:
-            skipped += 1
-            continue
-        v = lam * (op(s.x) - s.x)
-        lhs = float(np.linalg.norm(v + s.x - x_star) ** 2)
-        lhs += (1.0 - lam) / lam * float(np.linalg.norm(v) ** 2)
-        rhs = float(np.linalg.norm(s.x - x_star) ** 2)
-        slacks.append(rhs - lhs)
+    schedule = _schedule(traj, schedule)
+    x_star = _fixed_point(op, x_star)
+    lam = np.array([schedule(t) for t in traj.times()])
+    keep = lam > 0.0
+    skipped = int(np.count_nonzero(~keep))
+    lam, x = lam[keep], traj.states()[keep]
+    v = lam[:, None] * (op(x) - x)
+    lhs = row_norm(v + x - x_star) ** 2 + (1.0 - lam) / lam * row_norm(v) ** 2
+    slacks = row_norm(x - x_star) ** 2 - lhs
     return _report("relaxed-step contraction toward fixed points", slacks, tol, skipped)
 
 
@@ -290,9 +268,7 @@ def check_descent(
     sample spacing (10 * max dt, calibrated on a flow with a known closed-form
     solution, where the discretization error is O(dt^2)).
     """
-    schedule = schedule or traj.schedule
-    if schedule is None:
-        raise UsageError("no schedule available")
+    schedule = _schedule(traj, schedule)
     if len(traj.samples) < 3:
         raise UsageError("need at least 3 samples for central differences")
     ts = traj.times()
@@ -304,24 +280,18 @@ def check_descent(
         )
     if tol is None:
         tol = 10.0 * float(dts.max())
-    x_star = as_point(x_star, op.dim)
-    star_res = float(np.linalg.norm(x_star - op(x_star)))
-    if star_res >= 1e-9:
-        raise UsageError(f"x_star is not a fixed point (residual {star_res:.3e})")
+    x_star = _fixed_point(op, x_star)
 
-    d2 = np.array([oracle.distance_to(s.x).distance ** 2 for s in traj.samples])
-    e2 = np.array([float(np.linalg.norm(s.x - x_star) ** 2) for s in traj.samples])
-    slacks = []
-    for k in range(1, len(traj.samples) - 1):
-        s = traj.samples[k]
-        lam = schedule(s.t)
-        span = ts[k + 1] - ts[k - 1]
-        res_sq = s.residual ** 2
-        v_sq = (lam * s.residual) ** 2
-        lhs_fix = (d2[k + 1] - d2[k - 1]) / span
-        lhs_star = (e2[k + 1] - e2[k - 1]) / span
-        slacks.append(-lam * res_sq - lhs_fix)
-        slacks.append(-lam * (1.0 - lam) * res_sq - v_sq - lhs_star)
+    xs = traj.states()
+    d2 = oracle.distance_to(xs).distance ** 2
+    e2 = row_norm(xs - x_star) ** 2
+    lam = np.array([schedule(t) for t in ts[1:-1]])
+    span = ts[2:] - ts[:-2]
+    res = traj.metric("residual")[1:-1]
+    res_sq, v_sq = res ** 2, (lam * res) ** 2
+    lhs_fix, lhs_star = (d2[2:] - d2[:-2]) / span, (e2[2:] - e2[:-2]) / span
+    slacks = np.concatenate([-lam * res_sq - lhs_fix,
+                             -lam * (1.0 - lam) * res_sq - v_sq - lhs_star])
     return _report("descent of squared distances along the flow", slacks, tol)
 
 
@@ -335,18 +305,12 @@ def check_combination_bound(
     """Check sum_i w_i rho_i ||x - T_i(x)||^2 <= 2 d(x, Fix T) ||x - T(x)||
     with T the convex combination of the ops (all sharing the fixed set of the
     oracle)."""
-    rhos = [float(r) for r in rhos]
-    _require_rhos(ops, rhos)
+    rhos = _require_rhos(ops, rhos)
     T = convex_combination(ops, weights)
-    w = T.meta.weights
-    slacks = []
-    for p in points:
-        x = as_point(p, T.dim)
-        tx = T(x)
-        lhs = sum(wi * ri * float(np.linalg.norm(x - op(x)) ** 2)
-                  for wi, ri, op in zip(w, rhos, ops))
-        rhs = 2.0 * oracle.distance_to(x).distance * float(np.linalg.norm(x - tx))
-        slacks.append(rhs - lhs)
+    x = as_point(points, T.dim)
+    lhs = sum(wi * ri * residual(op, x) ** 2
+              for wi, ri, op in zip(T.meta.weights, rhos, ops))
+    slacks = 2.0 * oracle.distance_to(x).distance * residual(T, x) - lhs
     return _report("combination residual bound (weighted constituents)", slacks, 1e-10)
 
 
@@ -358,25 +322,37 @@ def check_composition_bound(
 ) -> InequalityReport:
     """Check sum_i rho_i ||Q_{i-1}(x) - Q_i(x)||^2 <= 2 d(x, Fix T) ||x - T(x)||
     where Q_0 = Id, Q_i = T_i ... T_1 and T is the full composition."""
-    rhos = [float(r) for r in rhos]
-    _require_rhos(ops, rhos)
+    rhos = _require_rhos(ops, rhos)
     T = compose(ops)
-    slacks = []
-    for p in points:
-        x = as_point(p, T.dim)
-        lhs = 0.0
-        q_prev = x
-        for op, rho in zip(ops, rhos):
-            q = op(q_prev)
-            lhs += rho * float(np.linalg.norm(q_prev - q) ** 2)
-            q_prev = q
-        tx = q_prev
-        rhs = 2.0 * oracle.distance_to(x).distance * float(np.linalg.norm(x - tx))
-        slacks.append(rhs - lhs)
+    x = as_point(points, T.dim)
+    lhs = 0.0
+    q_prev = x
+    for op, rho in zip(ops, rhos):
+        q = op(q_prev)
+        lhs = lhs + rho * row_norm(q_prev - q) ** 2
+        q_prev = q
+    slacks = 2.0 * oracle.distance_to(x).distance * residual(T, x) - lhs
     return _report("composition residual bound (partial stages)", slacks, 1e-10)
 
 
-def _require_rhos(ops: list[Operator], rhos: list[float]) -> None:
+def _schedule(traj: Trajectory, schedule: Optional[LambdaSchedule]) -> LambdaSchedule:
+    schedule = schedule or traj.schedule
+    if schedule is None:
+        raise UsageError("no schedule available")
+    return schedule
+
+
+def _fixed_point(op: Operator, x_star) -> np.ndarray:
+    x_star = as_vector(x_star, op.dim)
+    star_res = residual(op, x_star)
+    if star_res >= 1e-9:
+        raise UsageError(f"x_star is not a fixed point (residual {star_res:.3e})")
+    return x_star
+
+
+def _require_rhos(ops: list[Operator], rhos) -> list[float]:
+    """The moduli as floats, checked against each operator's certified rho."""
+    rhos = [float(r) for r in rhos]
     if len(ops) != len(rhos):
         raise UsageError(f"{len(ops)} operators but {len(rhos)} moduli")
     for i, (op, rho) in enumerate(zip(ops, rhos)):
@@ -386,6 +362,7 @@ def _require_rhos(ops: list[Operator], rhos: list[float]) -> None:
             raise UsageError(
                 f"operator {i} ({op.label}) has modulus {op.meta.rho}, expected {rho}"
             )
+    return rhos
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +373,18 @@ NONEXPANSIVE_TOL = 1e-12
 CERTIFICATE_TOL = 1e-10
 
 
+def _pairs(op: Operator, n_pairs: int, seed: int, radius: float):
+    """Pairs (x, y) of consecutive draws in B(0, radius), and their images under T."""
+    pts = sample_region(Region(np.zeros(op.dim), radius), 2 * n_pairs, seed)
+    tpts = op(pts)
+    return pts[0::2], pts[1::2], tpts[0::2], tpts[1::2]
+
+
 def check_nonexpansiveness(op: Operator, n_pairs: int = 1000, seed: int = 0,
                            radius: float = 10.0) -> InequalityReport:
     """Sampled certificate ||T(x)-T(y)|| <= ||x-y|| on random pairs in a ball."""
-    region = Region(np.zeros(op.dim), radius)
-    pts = sample_region(region, 2 * n_pairs, seed)
-    slacks = []
-    for i in range(n_pairs):
-        x, y = pts[2 * i], pts[2 * i + 1]
-        slacks.append(float(np.linalg.norm(x - y)) - float(np.linalg.norm(op(x) - op(y))))
+    x, y, tx, ty = _pairs(op, n_pairs, seed, radius)
+    slacks = row_norm(x - y) - row_norm(tx - ty)
     return _report(f"nonexpansiveness certificate [{op.label}]", slacks,
                    NONEXPANSIVE_TOL)
 
@@ -416,15 +396,9 @@ def check_averagedness(op: Operator, n_pairs: int = 500, seed: int = 0,
     if op.meta.alpha is None:
         raise UsageError(f"operator {op.label} declares no averagedness constant")
     a = op.meta.alpha
-    region = Region(np.zeros(op.dim), radius)
-    pts = sample_region(region, 2 * n_pairs, seed)
-    slacks = []
-    for i in range(n_pairs):
-        x, y = pts[2 * i], pts[2 * i + 1]
-        tx, ty = op(x), op(y)
-        lhs = float(np.linalg.norm(tx - ty) ** 2)
-        lhs += (1.0 - a) / a * float(np.linalg.norm((x - tx) - (y - ty)) ** 2)
-        slacks.append(float(np.linalg.norm(x - y) ** 2) - lhs)
+    x, y, tx, ty = _pairs(op, n_pairs, seed, radius)
+    lhs = row_norm(tx - ty) ** 2 + (1.0 - a) / a * row_norm((x - tx) - (y - ty)) ** 2
+    slacks = row_norm(x - y) ** 2 - lhs
     return _report(f"averagedness certificate [{op.label}]", slacks, CERTIFICATE_TOL)
 
 
@@ -439,15 +413,11 @@ def check_sqne(op: Operator, oracle: Optional[FixSetOracle] = None,
     if oracle is None:
         raise UsageError(f"operator {op.label} has no fixed-set oracle")
     rho = op.meta.rho
-    region = Region(np.zeros(op.dim), radius)
-    pts = sample_region(region, n_points, seed)
-    slacks = []
-    for x in pts:
-        x_star = oracle.distance_to(x).witness
-        tx = op(x)
-        lhs = float(np.linalg.norm(tx - x_star) ** 2)
-        lhs += rho * float(np.linalg.norm(x - tx) ** 2)
-        slacks.append(float(np.linalg.norm(x - x_star) ** 2) - lhs)
+    x = sample_region(Region(np.zeros(op.dim), radius), n_points, seed)
+    x_star = oracle.distance_to(x).witness
+    tx = op(x)
+    lhs = row_norm(tx - x_star) ** 2 + rho * row_norm(x - tx) ** 2
+    slacks = row_norm(x - x_star) ** 2 - lhs
     return _report(f"SQNE certificate [{op.label}]", slacks, CERTIFICATE_TOL)
 
 
@@ -458,8 +428,8 @@ def check_sqne(op: Operator, oracle: Optional[FixSetOracle] = None,
 def affine_combination_identity_gap(alpha: float, u, v) -> float:
     """Relative gap in
     ||(1-a)u + av||^2 + a(1-a)||u-v||^2 = (1-a)||u||^2 + a||v||^2."""
-    u = as_point(u)
-    v = as_point(v, u.shape[0])
+    u = as_vector(u)
+    v = as_vector(v, u.shape[0])
     lhs = float(np.linalg.norm((1.0 - alpha) * u + alpha * v) ** 2)
     lhs += alpha * (1.0 - alpha) * float(np.linalg.norm(u - v) ** 2)
     rhs = (1.0 - alpha) * float(np.linalg.norm(u) ** 2) + alpha * float(np.linalg.norm(v) ** 2)
@@ -469,7 +439,7 @@ def affine_combination_identity_gap(alpha: float, u, v) -> float:
 def distance_sq_gradient_gap(set_: PrimitiveSet, x, step: float = 1e-5) -> float:
     """Relative gap between the central-difference gradient of d^2(., C) and
     the closed form 2(x - P_C x)."""
-    x = as_point(x, set_.dim)
+    x = as_vector(x, set_.dim)
     analytic = 2.0 * (x - set_.project(x))
     fd = np.zeros_like(x)
     for i in range(x.shape[0]):

@@ -43,10 +43,6 @@ CONTINUOUS = tuple(n for n in BUNDLED if not n.endswith("_km"))
 DISCRETE = tuple(n for n in BUNDLED if n.endswith("_km"))
 
 
-def bundled_names() -> tuple[str, ...]:
-    return BUNDLED
-
-
 def scenario_config(name: str) -> dict:
     """The parsed JSON config of a bundled scenario."""
     if name not in BUNDLED:

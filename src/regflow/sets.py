@@ -1,34 +1,53 @@
 """Primitive convex sets with exact closed-form nearest-point projections.
 
-Every set exposes ``project`` (the nearest-point map), ``distance`` and a
-``contains`` membership test. Construction rejects degenerate parameters
-(zero normals, empty balls, inverted boxes) so that downstream code can rely
-on projections being well defined.
+Every set exposes ``project``, ``distance`` and ``contains``, row-wise on a
+point ``(d,)`` or a batch ``(n, d)``. ``project`` validates once and calls the
+raw kernel ``_project``, which operators and oracles call on validated arrays.
+Kernels sum along the last axis instead of calling BLAS, so a batch row rounds
+exactly like the same point alone.
 """
 
 import numpy as np
 
 from .errors import ConstructionError
-from .validation import as_matrix, as_point
+from .validation import as_matrix, as_point, as_vector
 
 # Rank decisions when orthonormalizing affine bases.
 RANK_TOL = 1e-12
 
 
+def row_norm(v: np.ndarray):
+    """Euclidean norm along the last axis: a float for a point, ``(n,)`` for a batch."""
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1))  # as np.linalg.norm, less overhead
+    return float(norms) if norms.ndim == 0 else norms
+
+
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` for each row of ``x``."""
+    return np.add.reduce(x[..., None, :] * m, axis=-1)
+
+
 class PrimitiveSet:
-    """A closed convex subset of R^n with an exact nearest-point projector."""
+    """A closed convex subset of R^n with an exact nearest-point projector.
+
+    Subclasses implement ``_project`` and re-bind ``project`` in their own
+    namespace, so per-class tracing (``perfbench/spans.py``) can wrap it.
+    """
 
     dim: int
 
     def project(self, x) -> np.ndarray:
+        """Nearest point of the set to ``x``, row-wise for a batch."""
+        return self._project(as_point(x, self.dim))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def distance(self, x) -> float:
-        """Euclidean distance from ``x`` to the set."""
-        x = as_point(x, self.dim)
-        return float(np.linalg.norm(x - self.project(x)))
+    def distance(self, x):
+        """Euclidean distance from ``x`` to the set (``project`` validates ``x``)."""
+        return row_norm(np.asarray(x, dtype=float) - self.project(x))
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
+    def contains(self, x, tol: float = 1e-12):
         return self.distance(x) <= tol
 
     def describe(self) -> str:
@@ -38,39 +57,40 @@ class PrimitiveSet:
         return self.describe()
 
 
-class HalfSpace(PrimitiveSet):
+class _Linear(PrimitiveSet):
+    """A set bounded by the hyperplane {x : <a, x> = b}, a nonzero."""
+
+    def __init__(self, normal, offset: float):
+        self.normal = as_vector(normal, name="normal")
+        if not np.any(self.normal):
+            raise ConstructionError(f"{type(self).__name__} normal must be nonzero")
+        self.offset = float(offset)
+        self.dim = self.normal.shape[0]
+        self._nsq = float(self.normal @ self.normal)
+
+    def _excess(self, x):
+        """(<a, x> - b) / ||a||^2 per row, shaped to broadcast against ``x``."""
+        dot = np.add.reduce(x * self.normal, axis=-1)[..., None]
+        return (dot - self.offset) / self._nsq
+
+
+class HalfSpace(_Linear):
     """{x : <a, x> <= b} for a nonzero normal a."""
 
-    def __init__(self, normal, offset: float):
-        self.normal = as_point(normal, name="normal")
-        if not np.any(self.normal):
-            raise ConstructionError("half-space normal must be nonzero")
-        self.offset = float(offset)
-        self.dim = self.normal.shape[0]
-        self._nsq = float(self.normal @ self.normal)
+    project = PrimitiveSet.project
 
-    def project(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
-        excess = float(self.normal @ x) - self.offset
-        if excess <= 0.0:
-            return x
-        return x - (excess / self._nsq) * self.normal
+    def _project(self, x):
+        excess = self._excess(x)
+        return np.where(excess > 0.0, x - excess * self.normal, x)
 
 
-class Hyperplane(PrimitiveSet):
+class Hyperplane(_Linear):
     """{x : <a, x> = b} for a nonzero normal a."""
 
-    def __init__(self, normal, offset: float):
-        self.normal = as_point(normal, name="normal")
-        if not np.any(self.normal):
-            raise ConstructionError("hyperplane normal must be nonzero")
-        self.offset = float(offset)
-        self.dim = self.normal.shape[0]
-        self._nsq = float(self.normal @ self.normal)
+    project = PrimitiveSet.project
 
-    def project(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
-        return x - ((float(self.normal @ x) - self.offset) / self._nsq) * self.normal
+    def _project(self, x):
+        return x - self._excess(x) * self.normal
 
 
 class AffineSubspace(PrimitiveSet):
@@ -82,7 +102,7 @@ class AffineSubspace(PrimitiveSet):
     """
 
     def __init__(self, basis, offset):
-        self.offset = as_point(offset, name="offset")
+        self.offset = as_vector(offset, name="offset")
         self.dim = self.offset.shape[0]
         basis = as_matrix(np.asarray(basis, dtype=float).reshape(self.dim, -1), "basis")
         if basis.shape[0] != self.dim:
@@ -97,44 +117,45 @@ class AffineSubspace(PrimitiveSet):
             self.onb = u[:, keep]
         self.rank = self.onb.shape[1]
 
-    def project(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
-        d = x - self.offset
-        return self.offset + self.onb @ (self.onb.T @ d)
+    project = PrimitiveSet.project
+
+    def _project(self, x):
+        return self.offset + matvec(self.onb, matvec(self.onb.T, x - self.offset))
 
 
 class Box(PrimitiveSet):
     """{x : lower <= x <= upper} componentwise."""
 
     def __init__(self, lower, upper):
-        self.lower = as_point(lower, name="lower")
-        self.upper = as_point(upper, dim=self.lower.shape[0], name="upper")
+        self.lower = as_vector(lower, name="lower")
+        self.upper = as_vector(upper, dim=self.lower.shape[0], name="upper")
         if np.any(self.lower > self.upper):
             raise ConstructionError("box requires lower <= upper componentwise")
         self.dim = self.lower.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
-        return np.clip(x, self.lower, self.upper)
+    project = PrimitiveSet.project
+
+    def _project(self, x):
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
 class Ball(PrimitiveSet):
     """{x : ||x - center|| <= radius} with radius > 0."""
 
     def __init__(self, center, radius: float):
-        self.center = as_point(center, name="center")
+        self.center = as_vector(center, name="center")
         self.radius = float(radius)
         if not self.radius > 0.0:
             raise ConstructionError("ball radius must be positive")
         self.dim = self.center.shape[0]
 
-    def project(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
+    project = PrimitiveSet.project
+
+    def _project(self, x):
         d = x - self.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= self.radius:
-            return x
-        return self.center + (self.radius / nrm) * d
+        nrm = np.linalg.norm(d, axis=-1)[..., None]
+        scale = self.radius / np.maximum(nrm, self.radius)
+        return np.where(nrm <= self.radius, x, self.center + scale * d)
 
 
 def is_affine(s: PrimitiveSet) -> bool:

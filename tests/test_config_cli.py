@@ -81,6 +81,20 @@ class TestConfigValidation:
         sc = build_scenario(cfg)
         assert np.linalg.norm(sc.x0) <= 1.0
 
+    @pytest.mark.parametrize("literal", ["1e400", "NaN", "Infinity"])
+    def test_non_finite_numbers_rejected(self, literal):
+        # json parses all three (1e400 to inf); t_end = inf would never finish
+        cfg = json.loads(json.dumps(minimal_config()).replace('"t_end": 1.0',
+                                                              f'"t_end": {literal}'))
+        with pytest.raises(rf.ConfigError) as exc:
+            build_scenario(cfg)
+        assert exc.value.path == "integrator.t_end"
+        cfg = json.loads(json.dumps(minimal_config()).replace("[2.0, 2.0]",
+                                                              f"[2.0, {literal}]"))
+        with pytest.raises(rf.ConfigError) as exc:
+            build_scenario(cfg)
+        assert exc.value.path == "x0"
+
     def test_dimension_mismatch_in_x0(self):
         with pytest.raises(rf.ConfigError):
             build_scenario(minimal_config(x0=[1.0, 2.0, 3.0]))
@@ -212,6 +226,30 @@ class TestCLIRate:
 
     def test_rate_missing_file_is_usage_error(self, tmp_path):
         assert main(["rate", str(tmp_path / "none.csv")]) == 2
+
+    HEADER = "t,x_0,residual,dist_fix,speed\n"
+
+    def _rate_on(self, tmp_path, capsys, text):
+        path = tmp_path / "traj.csv"
+        path.write_text(text)
+        code = main(["rate", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_rate_empty_file_is_usage_error(self, tmp_path, capsys):
+        code, err = self._rate_on(tmp_path, capsys, "")
+        assert code == 2
+        assert "traj.csv, line 1" in err
+
+    def test_rate_non_numeric_cell_is_usage_error(self, tmp_path, capsys):
+        code, err = self._rate_on(tmp_path, capsys,
+                                  self.HEADER + "0,1.0,0.5,0.5,0.5\n1,abc,0.2,0.2,0.2\n")
+        assert code == 2
+        assert "traj.csv, line 3" in err and "abc" in err
+
+    def test_rate_short_row_is_usage_error(self, tmp_path, capsys):
+        code, err = self._rate_on(tmp_path, capsys, self.HEADER + "0,1.0,0.5\n")
+        assert code == 2
+        assert "traj.csv, line 2" in err
 
 
 class TestCLIReg:
