@@ -253,9 +253,9 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
 
     record(check_core_identities(2000, seed))
 
-    for alpha in np.linspace(0.5, 4.0, 5):
-        for gamma in np.linspace(0.2, 0.8, 5):
-            record(verify_comparison_lemmas(float(alpha), float(gamma), 1.0))
+    alphas, gammas = np.linspace(0.5, 4.0, 5), np.linspace(0.2, 0.8, 5)
+    for rep in verify_comparison_lemmas(alphas[:, None], gammas[None, :], 1.0):
+        record(rep)
 
     # lemma sweeps over the bundled SQNE families (every member 1-SQNE)
     pts = sample_region(Region(np.zeros(2), 10.0), 500, seed)

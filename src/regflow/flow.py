@@ -11,6 +11,7 @@ stability guard beyond standard adaptive control is needed.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -258,6 +259,8 @@ class Trajectory:
                                                                    "speed"]:
                     raise UsageError("not a trajectory CSV")
                 samples = [_parse_row(row, dim) for row in reader]
+                if not samples:
+                    raise UsageError("no samples after the header")
             except (ValueError, csv.Error) as exc:  # UsageError is a ValueError too
                 raise UsageError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
         ts = np.array([s.t for s in samples])
@@ -269,8 +272,15 @@ def _parse_row(row: list[str], dim: int) -> TrajectorySample:
     if len(row) < dim + 4:
         raise UsageError(f"expected {dim + 4} fields, got {len(row)}")
     t, *x, res, dist, speed = row[:dim + 4]
-    return TrajectorySample(float(t), np.array([float(v) for v in x]), float(res),
-                            float(speed), None if dist == "" else float(dist))
+    return TrajectorySample(_finite(t), np.array([_finite(v) for v in x]), _finite(res),
+                            _finite(speed), None if dist == "" else _finite(dist))
+
+
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise UsageError(f"non-finite value {cell!r}")
+    return value
 
 
 def _fmt(v: float) -> str:

@@ -276,10 +276,34 @@ def check_hoelder_rate_bound(
 # Scalar comparison lemmas
 # ---------------------------------------------------------------------------
 
+def _problems(t_end, u0, **positive):
+    """Check and broadcast the parameters of independent scalar problems.
+
+    ``t_end`` and every ``positive`` parameter must be finite and > 0, ``u0``
+    finite and >= 0. Returns ``(t_end, [*positive arrays, u0 array])``.
+    """
+    t_end = float(t_end)
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise UsageError(f"t_end must be finite and positive, got {t_end!r}")
+    try:
+        arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                       for v in (*positive.values(), u0)))
+    except ValueError as exc:
+        raise UsageError(f"parameters do not broadcast: {exc}") from None
+    if arrays[-1].size == 0:
+        raise UsageError("no problems to solve (empty parameter arrays)")
+    for name, arr in zip(positive, arrays):
+        if not np.all(np.isfinite(arr) & (arr > 0.0)):
+            raise UsageError(f"{name} must be finite and positive")
+    if not np.all(np.isfinite(arrays[-1]) & (arrays[-1] >= 0.0)):
+        raise UsageError("u0 must be finite and nonnegative")
+    return t_end, arrays
+
+
 def integrate_scalar_decay(
-    alpha: float,
-    exponent: float,
-    u0: float,
+    alpha,
+    exponent,
+    u0,
     t_end: float,
     n_samples: int = 201,
     rel_tol: float = 1e-11,
@@ -287,39 +311,59 @@ def integrate_scalar_decay(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tightly integrate u' = -alpha * u^exponent, u(0) = u0 >= 0.
 
-    Returns (t, u) on a uniform grid. The right side is clamped at u = 0 so
-    roundoff cannot push the state negative.
+    Returns (t, u) on a uniform grid of ``n_samples`` points over [0, t_end].
+    ``alpha``, ``exponent`` and ``u0`` broadcast to n independent problems,
+    solved in one RK45 call; ``u`` has shape ``broadcast_shape + (n_samples,)``,
+    ``(n_samples,)`` for scalars. RK45 accepts a step when the RMS over
+    components of err_i / (atol + rtol |u_i|) is at most 1, so both tolerances
+    are divided by sqrt(n): that bounds every component's own ratio by 1, and
+    each problem passes its own per-step error test at least as strictly as
+    when solved alone (n = 1 is the plain single-problem solve). The right side
+    is clamped at u = 0 so roundoff cannot push the state negative. ``t_end``,
+    ``alpha`` and ``exponent`` must be finite and positive, ``u0`` finite and
+    nonnegative, ``n_samples`` a positive integer.
     """
-    if u0 < 0.0:
-        raise UsageError("u0 must be nonnegative")
+    t_end, (alpha, exponent, u0) = _problems(t_end, u0, alpha=alpha, exponent=exponent)
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise UsageError(f"n_samples must be a positive integer, got {n_samples!r}")
+    shape = u0.shape
+    alpha, exponent, u0 = alpha.ravel(), exponent.ravel(), u0.ravel()
+    shrink = math.sqrt(u0.size)
+    if np.all(exponent == exponent[0]):
+        # a shared power stays scalar: numpy's exact square/sqrt paths for a
+        # scalar exponent differ from elementwise pow in the last bit
+        exponent = float(exponent[0])
 
     def rhs(_t, u):
         return -alpha * np.maximum(u, 0.0) ** exponent
 
     t_eval = np.linspace(0.0, t_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_end), [float(u0)], method="RK45",
-                    rtol=rel_tol, atol=abs_tol, t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, t_end), u0, method="RK45", rtol=rel_tol / shrink,
+                    atol=abs_tol / shrink, t_eval=t_eval)
     if not sol.success:
         raise FitError(f"scalar integration failed: {sol.message}")
-    return sol.t, np.maximum(sol.y[0], 0.0)
+    return sol.t, np.maximum(sol.y, 0.0).reshape(shape + sol.t.shape)
 
 
-def powerlaw_comparison_constant(alpha: float, gamma: float) -> float:
-    """M with u(t) <= M t^{-gamma/(1-gamma)} whenever u' <= -alpha u^{1/gamma}."""
-    if not 0.0 < gamma < 1.0:
+def powerlaw_comparison_constant(alpha, gamma):
+    """M with u(t) <= M t^{-gamma/(1-gamma)} whenever u' <= -alpha u^{1/gamma}.
+
+    Array arguments broadcast and give an array of constants.
+    """
+    if not np.all((0.0 < gamma) & (gamma < 1.0)):
         raise UsageError("gamma must lie in (0,1)")
-    if not alpha > 0.0:
+    if not np.all(alpha > 0.0):
         raise UsageError("alpha must be positive")
     return (gamma / (alpha * (1.0 - gamma))) ** (gamma / (1.0 - gamma))
 
 
 def verify_comparison_lemmas(
-    alpha: float,
-    gamma: float,
-    u0: float,
+    alpha,
+    gamma,
+    u0,
     t_end: float = 20.0,
     tol: float = 1e-9,
-) -> InequalityReport:
+) -> InequalityReport | list[InequalityReport]:
     """Numerically verify both scalar comparison lemmas.
 
     Exponential case u' = -alpha u: the solution must *equal* exp(-alpha t) u0
@@ -327,27 +371,35 @@ def verify_comparison_lemmas(
     negated deviation. Power-law case u' = -alpha u^{1/gamma}: the solution
     must stay below M t^{-gamma/(1-gamma)} with the lemma's constant M.
     Slacks are normalized by max(1, u0).
+
+    ``alpha``, ``gamma`` and ``u0`` broadcast like ``integrate_scalar_decay``'s
+    parameters: every distinct problem (one exponential per (alpha, u0), one
+    power law per (alpha, gamma, u0)) is solved once, all in one call with the
+    tolerances divided by sqrt(n). Scalars return one InequalityReport; arrays
+    return a list of reports in C order of the broadcast shape.
     """
-    if not alpha > 0.0:
-        raise UsageError("alpha must be positive")
-    if not 0.0 < gamma < 1.0:
-        raise UsageError("gamma must lie in (0,1)")
-    if u0 < 0.0:
-        raise UsageError("u0 must be nonnegative")
-    scale = max(1.0, float(u0))
+    t_end, (alpha, gamma, u0) = _problems(t_end, u0, alpha=alpha, gamma=gamma)
+    a, g, u = alpha.ravel(), gamma.ravel(), u0.ravel()
+    m = powerlaw_comparison_constant(a, g)
+    k = a.size
+    problems = np.concatenate([np.stack([a, np.ones(k), u], axis=1),
+                               np.stack([a, 1.0 / g, u], axis=1)])
+    distinct, inverse = np.unique(problems, axis=0, return_inverse=True)
+    t, solutions = integrate_scalar_decay(*distinct.T, t_end)
+    u_exp, u_pow = np.split(solutions[inverse.ravel()], 2)
+    scale = np.maximum(1.0, u)
 
-    t, u_exp = integrate_scalar_decay(alpha, 1.0, u0, t_end)
-    deviation = np.abs(u_exp - u0 * np.exp(-alpha * t))
-    slack_exp = -float(deviation.max()) / scale
+    deviation = np.abs(u_exp - u[:, None] * np.exp(-a[:, None] * t))
+    slack_exp = -deviation.max(axis=1) / scale
 
-    t2, u_pow = integrate_scalar_decay(alpha, 1.0 / gamma, u0, t_end)
-    m = powerlaw_comparison_constant(alpha, gamma)
-    pos = t2 > 0.0
-    margin = m * t2[pos] ** (-gamma / (1.0 - gamma)) - u_pow[pos]
-    slack_pow = float(margin.min()) / scale
+    pos = t > 0.0
+    margin = m[:, None] * t[pos] ** -(g / (1.0 - g))[:, None] - u_pow[:, pos]
+    slack_pow = margin.min(axis=1) / scale
 
-    slacks = [slack_exp, slack_pow]
-    return _report(
-        f"scalar decay comparison (alpha={alpha:g}, gamma={gamma:g}, u0={u0:g})",
-        slacks, tol,
-    )
+    reports = [
+        _report(f"scalar decay comparison (alpha={ai:g}, gamma={gi:g}, u0={ui:g})",
+                slacks, tol)
+        for ai, gi, ui, *slacks in zip(a.tolist(), g.tolist(), u.tolist(),
+                                       slack_exp.tolist(), slack_pow.tolist())
+    ]
+    return reports[0] if u0.ndim == 0 else reports

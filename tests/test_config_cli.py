@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import regflow as rf
 from regflow.cli import main
@@ -250,6 +252,38 @@ class TestCLIRate:
         code, err = self._rate_on(tmp_path, capsys, self.HEADER + "0,1.0,0.5\n")
         assert code == 2
         assert "traj.csv, line 2" in err
+
+    def test_rate_header_only_is_usage_error(self, tmp_path, capsys):
+        code, err = self._rate_on(tmp_path, capsys, self.HEADER)
+        assert code == 2
+        assert "traj.csv, line 1" in err
+
+    def test_rate_nan_cell_is_usage_error(self, tmp_path, capsys):
+        code, err = self._rate_on(tmp_path, capsys, self.HEADER + "nan,nan,nan,nan,nan\n")
+        assert code == 2
+        assert "traj.csv, line 2" in err and "nan" in err
+
+    def test_rate_inf_cell_is_usage_error(self, tmp_path, capsys):
+        code, err = self._rate_on(tmp_path, capsys,
+                                  self.HEADER + "0,1.0,0.5,,0.5\n1,inf,0.2,,0.2\n")
+        assert code == 2
+        assert "traj.csv, line 3" in err and "inf" in err
+
+    _CELL = st.one_of(
+        st.floats(-1e6, 1e6).map(repr),
+        st.floats(1e-12, 10.0).map(repr),
+        st.integers(-100, 100).map(str),
+        st.sampled_from(["", "nan", "inf", "-inf", "1e400", "abc", " ", '"']),
+    )
+
+    @settings(max_examples=40, deadline=500,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.one_of(st.lists(_CELL, min_size=5, max_size=5),
+                                   st.lists(_CELL, max_size=7)), max_size=20))
+    def test_rate_fuzzed_csv_keeps_exit_contract(self, tmp_path, rows):
+        path = tmp_path / "fuzz.csv"
+        path.write_text(self.HEADER + "".join(",".join(r) + "\n" for r in rows))
+        assert main(["rate", str(path)]) in (0, 1, 2, 3)
 
 
 class TestCLIReg:

@@ -228,3 +228,79 @@ class TestComparisonLemmas:
             rf.verify_comparison_lemmas(1.0, 1.0, 1.0)
         with pytest.raises(rf.UsageError):
             rf.verify_comparison_lemmas(1.0, 0.5, -1.0)
+        nan, inf = float("nan"), float("inf")
+        # NaN parameters never let RK45 finish, so they must be refused up front
+        for args, kwargs in (
+            ((1.0, 0.5, 1.0), {"t_end": nan}), ((1.0, 0.5, 1.0), {"t_end": inf}),
+            ((1.0, 0.5, 1.0), {"t_end": 0.0}), ((1.0, 0.5, 1.0), {"t_end": -1.0}),
+            ((nan, 0.5, 1.0), {}), ((inf, 0.5, 1.0), {}), ((1.0, nan, 1.0), {}),
+            ((1.0, 0.0, 1.0), {}), ((1.0, 0.5, nan), {}), ((1.0, 0.5, inf), {}),
+            (([1.0, nan], 0.5, 1.0), {}), (([1.0, 2.0], [0.5, 0.5, 0.5], 1.0), {}),
+        ):
+            with pytest.raises(rf.UsageError):
+                rf.verify_comparison_lemmas(*args, **kwargs)
+        for args in (
+            (1.0, 1.0, 1.0, nan), (1.0, 1.0, 1.0, inf), (1.0, 1.0, 1.0, 0.0),
+            (1.0, 1.0, 1.0, -1.0), (nan, 1.0, 1.0, 1.0), (0.0, 1.0, 1.0, 1.0),
+            (1.0, nan, 1.0, 1.0), (1.0, -2.0, 1.0, 1.0), (1.0, 1.0, nan, 1.0),
+            (1.0, 1.0, -1.0, 1.0), (1.0, 1.0, [1.0, inf], 1.0), ([], 1.0, 1.0, 1.0),
+            (1.0, 1.0, 1.0, 1.0, 0), (1.0, 1.0, 1.0, 1.0, 2.5),
+        ):
+            with pytest.raises(rf.UsageError):
+                rf.integrate_scalar_decay(*args)
+
+
+ALPHAS = np.linspace(0.5, 4.0, 5)
+GAMMAS = np.linspace(0.2, 0.8, 5)
+
+
+class TestBatchedComparisonLemmas:
+    def test_length_one_arrays_match_scalar_call(self):
+        for args in ((2.0, 1.0, 3.0), (1.0, 2.0, 1.0), (0.5, 5.0, 10.0), (3.0, 0.5, 0.0)):
+            t, u = rf.integrate_scalar_decay(*args, 20.0)
+            tb, ub = rf.integrate_scalar_decay(*([v] for v in args), 20.0)
+            assert u.shape == t.shape and ub.shape == (1,) + t.shape
+            np.testing.assert_array_equal(tb, t)
+            np.testing.assert_array_equal(ub[0], u)
+
+    def test_grid_matches_one_at_a_time(self):
+        u0s = np.array([0.1, 1.0, 10.0])
+        batch = rf.verify_comparison_lemmas(ALPHAS[:, None, None], GAMMAS[None, :, None], u0s)
+        singles = [rf.verify_comparison_lemmas(float(a), float(g), float(u))
+                   for a in ALPHAS for g in GAMMAS for u in u0s]
+        assert len(batch) == len(singles) == 75
+        for b, s in zip(batch, singles):
+            assert (b.name, b.passed, b.n_points) == (s.name, s.passed, s.n_points)
+            assert abs(b.worst_slack - s.worst_slack) <= 1e-11
+
+    def test_mixed_batch_rows_match_closed_forms(self):
+        alpha = np.array([[2.0, 1.0, 0.5], [1.0, 4.0, 1.0]])
+        exponent = np.array([[1.0, 2.0, 1.0], [5.0, 1.0, 2.0]])
+        u0 = np.array([[3.0, 1.0, 10.0], [0.0, 0.1, 1.0]])
+        t, u = rf.integrate_scalar_decay(alpha, exponent, u0, 20.0)
+        assert u.shape == (2, 3, t.size)
+        for i, j in ((0, 0), (0, 2), (1, 1)):
+            np.testing.assert_allclose(u[i, j], u0[i, j] * np.exp(-alpha[i, j] * t),
+                                       rtol=0, atol=1e-9)
+        for i, j in ((0, 1), (1, 2)):
+            np.testing.assert_allclose(u[i, j], 1.0 / (1.0 + t), rtol=0, atol=1e-9)
+        assert np.all(u[1, 0] == 0.0)
+
+    def test_one_solve_per_sweep(self, monkeypatch):
+        import regflow.rates as rates
+
+        components = []
+        real = rates.solve_ivp
+
+        def counting(fun, t_span, y0, **kwargs):
+            components.append(len(y0))
+            return real(fun, t_span, y0, **kwargs)
+
+        monkeypatch.setattr(rates, "solve_ivp", counting)
+        reports = rf.verify_comparison_lemmas(ALPHAS[:, None], GAMMAS[None, :], 1.0)
+        assert len(reports) == 25 and all(r.passed for r in reports)
+        assert components == [30]  # 5 exponential (alpha) + 25 power-law (alpha, gamma)
+        components.clear()
+        assert isinstance(rf.verify_comparison_lemmas(1.0, 0.5, 1.0), rf.InequalityReport)
+        rf.verify_comparison_lemmas([1.0, 1.0], 0.5, 1.0)  # repeated problems solve once
+        assert components == [2, 2]
