@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import Scenario, build_scenario
+from .config import Scenario, build_scenario, sample_count
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -277,8 +277,7 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
     # trajectory inequality checks over the continuous corpus
     for sname in CONTINUOUS:
         sc = load_scenario(sname)
-        traj = integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator,
-                              oracle=sc.oracle)
+        traj = integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator)
         x_star = sc.oracle.distance_to(sc.x0).witness
         rep = check_avg_inequality(traj, sc.operator, x_star, sc.schedule)
         record(dataclasses.replace(rep, name=f"{rep.name} [{sname}]"))
@@ -293,10 +292,8 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
         flow_traj = integrate_flow(sc.operator, sc.x0, sc.schedule, cfg,
                                    oracle=None)
         km_traj = km_iterate(sc.operator, sc.x0, sc.schedule, K, oracle=None)
-        identical = all(
-            a.t == b.t and np.array_equal(a.x, b.x)
-            for a, b in zip(flow_traj.samples, km_traj.samples)
-        )
+        identical = (np.array_equal(flow_traj.times(), km_traj.times())
+                     and np.array_equal(flow_traj.states(), km_traj.states()))
         tag = f"unit-step Euler / relaxed iteration bitwise agreement [{sname}]"
         print(f"{'PASS' if identical else 'FAIL'}  {tag}")
         if not identical:
@@ -388,7 +385,8 @@ def _cmd_reg(args) -> int:
         "region": Region(np.zeros(scenario.dim), 10.0),
     }
     mode = args.mode or reg["mode"]
-    n_samples = args.samples or reg["n_samples"]
+    n_samples = (reg["n_samples"] if args.samples is None
+                 else sample_count(args.samples, "--samples"))
     seed = reg["seed"] if args.seed is None else args.seed
     est = estimate_operator_regularity(scenario.operator, scenario.oracle,
                                        reg["region"], n_samples=n_samples,

@@ -16,7 +16,14 @@ import numpy as np
 
 from .errors import ConfigError, ConstructionError, UsageError
 from .fixset import ExactSet, FixSetOracle, Intersection, SinglePoint
-from .flow import Constant, IntegratorConfig, LambdaSchedule, PiecewiseConstant, Sinusoid
+from .flow import (
+    MAX_STEPS,
+    Constant,
+    IntegratorConfig,
+    LambdaSchedule,
+    PiecewiseConstant,
+    Sinusoid,
+)
 from .operators import (
     Indicator,
     L1Norm,
@@ -221,10 +228,11 @@ def build_oracle(node, path: str, dim: int,
             if not isinstance(raw_sets, list) or not raw_sets:
                 raise ConfigError(f"{path}.sets", "expected a nonempty list")
             sets = [build_set(s, f"{path}.sets[{i}]", dim) for i, s in enumerate(raw_sets)]
-            tol = fix_tol if fix_tol is not None else _number(
-                node.get("tol", 1e-12), f"{path}.tol")
-            max_iter = fix_max_iter if fix_max_iter is not None else int(
-                _number(node.get("max_iter", 100_000), f"{path}.max_iter"))
+            # an override replaces the field and is validated like it
+            tol = _number(node.get("tol", 1e-12) if fix_tol is None else fix_tol,
+                          f"{path}.tol")
+            max_iter = int(_number(node.get("max_iter", 100_000) if fix_max_iter is None
+                                   else fix_max_iter, f"{path}.max_iter"))
             return Intersection(sets, tol=tol, max_iter=max_iter)
     raise ConfigError(f"{path}.kind", f"unknown oracle kind {kind!r}")
 
@@ -264,6 +272,9 @@ def build_integrator(node, path: str) -> IntegratorConfig:
         dt = _number(node["sample_dt"], f"{path}.sample_dt")
         if not dt > 0.0:
             raise ConfigError(f"{path}.sample_dt", "must be positive")
+        if not 0.0 < t_end / dt < MAX_STEPS:
+            raise ConfigError(f"{path}.sample_dt", f"t_end / sample_dt must lie in (0, "
+                              f"{MAX_STEPS}), the work budget; got {t_end / dt:.3g}")
         n = int(round(t_end / dt))
         if abs(n * dt - t_end) > 1e-9:
             raise ConfigError(f"{path}.sample_dt", "must divide t_end evenly")
@@ -273,6 +284,13 @@ def build_integrator(node, path: str) -> IntegratorConfig:
             _vector(node["sample_times"], f"{path}.sample_times"))
     with _wrap(path):
         return IntegratorConfig(method=method, t_end=t_end, **kwargs)
+
+
+def sample_count(value, path: str) -> int:
+    """A regularity-estimate sample count: an integer >= 100."""
+    if not isinstance(value, int) or value < 100:
+        raise ConfigError(path, "expected an integer >= 100")
+    return value
 
 
 def build_x0(node, path: str, dim: int) -> np.ndarray:
@@ -347,9 +365,7 @@ def build_scenario(cfg: dict, fix_tol: Optional[float] = None,
         mode = regularity.get("mode", "linear")
         if mode not in ("linear", "hoelder"):
             raise ConfigError("regularity.mode", f"unknown mode {mode!r}")
-        n_samples = regularity.get("n_samples", 1000)
-        if not isinstance(n_samples, int) or n_samples < 100:
-            raise ConfigError("regularity.n_samples", "expected an integer >= 100")
+        n_samples = sample_count(regularity.get("n_samples", 1000), "regularity.n_samples")
         seed = regularity.get("seed")
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ConfigError("regularity.seed",

@@ -28,6 +28,10 @@ LIMIT_RESIDUAL_TOL = 1e-9
 
 _UNIT_GRID_TOL = 1e-9
 
+# Work budget: the most steps a fixed-step or unit-step run may take, and the
+# most sample times a config may ask the adaptive method to record.
+MAX_STEPS = 1_000_000
+
 
 # ---------------------------------------------------------------------------
 # Relaxation schedules
@@ -43,7 +47,8 @@ class LambdaSchedule:
     inf_value: float
     inf_product: float
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
+        """lambda at a time ``t`` (a float) or at each entry of an array of times."""
         raise NotImplementedError
 
     def breakpoints(self, t_end: float) -> list[float]:
@@ -53,9 +58,6 @@ class LambdaSchedule:
     def is_unit_aligned(self) -> bool:
         """True when the schedule is constant on every interval [k, k+1)."""
         return False
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class Constant(LambdaSchedule):
@@ -67,14 +69,11 @@ class Constant(LambdaSchedule):
         self.inf_value = value
         self.inf_product = value * (1.0 - value)
 
-    def __call__(self, t: float) -> float:
-        return self.value
+    def __call__(self, t):
+        return np.full(np.shape(t), self.value)[()]
 
     def is_unit_aligned(self) -> bool:
         return True
-
-    def describe(self) -> str:
-        return f"Constant({self.value:g})"
 
 
 class PiecewiseConstant(LambdaSchedule):
@@ -91,23 +90,20 @@ class PiecewiseConstant(LambdaSchedule):
             raise UsageError("first segment must start at t=0")
         if np.any(np.diff(self.times) <= 0.0):
             raise UsageError("times must be strictly increasing")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
+        if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
             raise UsageError("values must lie in [0,1]")
         self.inf_value = float(self.values.min())
         self.inf_product = float((self.values * (1.0 - self.values)).min())
 
-    def __call__(self, t: float) -> float:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.values[max(idx, 0)])
+    def __call__(self, t):
+        idx = np.searchsorted(self.times, t, side="right") - 1
+        return self.values[np.maximum(idx, 0)]
 
     def breakpoints(self, t_end: float) -> list[float]:
-        return [float(t) for t in self.times[1:] if 0.0 < t < t_end]
+        return self.times[(self.times > 0.0) & (self.times < t_end)].tolist()
 
     def is_unit_aligned(self) -> bool:
         return bool(np.all(np.abs(self.times - np.round(self.times)) < _UNIT_GRID_TOL))
-
-    def describe(self) -> str:
-        return f"PiecewiseConstant({self.times.size} segments)"
 
 
 class Sinusoid(LambdaSchedule):
@@ -128,12 +124,8 @@ class Sinusoid(LambdaSchedule):
         self.inf_value = lo
         self.inf_product = min(lo * (1.0 - lo), hi * (1.0 - hi))
 
-    def __call__(self, t: float) -> float:
-        v = self.offset + self.amplitude * np.sin(self.omega * t)
-        return float(min(max(v, 0.0), 1.0))
-
-    def describe(self) -> str:
-        return f"Sinusoid({self.offset:g}, {self.amplitude:g}, {self.omega:g})"
+    def __call__(self, t):
+        return np.clip(self.offset + self.amplitude * np.sin(self.omega * t), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +161,22 @@ class IntegratorConfig:
                 raise UsageError(f"method {self.method!r} needs a positive step h")
         if self.method == "euler_unit":
             object.__setattr__(self, "h", 1.0)
+        if self.method != "rk45" and not self.t_end / self.h <= MAX_STEPS:
+            raise UsageError(f"{self.method} would take {self.t_end / self.h:.3g} steps; "
+                             f"the work budget is {MAX_STEPS}")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise UsageError("tolerances must be positive")
         if self.sample_stride < 1:
             raise UsageError("sample_stride must be a positive integer")
         if self.sample_times is not None:
-            ts = tuple(float(t) for t in self.sample_times)
-            if any(t < 0.0 or t > self.t_end + 1e-12 for t in ts):
+            ts = np.asarray(self.sample_times, dtype=float)
+            if not np.all((ts >= 0.0) & (ts <= self.t_end + 1e-12)):
                 raise UsageError("sample_times must lie in [0, t_end]")
-            if any(b <= a for a, b in zip(ts, ts[1:])):
+            if np.any(np.diff(ts) <= 0.0):
                 raise UsageError("sample_times must be strictly increasing")
             if self.method != "rk45":
                 raise UsageError("explicit sample_times require the rk45 method")
-            object.__setattr__(self, "sample_times", ts)
+            object.__setattr__(self, "sample_times", tuple(ts.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +289,10 @@ def _fmt(v: float) -> str:
 def _measured(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
               times, states, dists, mode: str, info: dict) -> Trajectory:
     """Trajectory through ``(times, states)``: residual and speed from one batch
-    evaluation of T, dist_fix from ``oracle`` (else ``dists``) one sample at a
-    time, as perfbench/test_perfbench_trace.py counts; failures name the sample."""
+    evaluation of T and lambda, dist_fix from ``oracle`` (else ``dists``) one sample
+    at a time, as perfbench/test_perfbench_trace.py counts; failures name the sample."""
     res = residual(op, np.array(states))
+    speed = schedule(np.array(times, dtype=float)) * res
     if oracle is not None:
         dists = []
         for i, (t, x) in enumerate(zip(times, states)):
@@ -305,8 +301,8 @@ def _measured(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOra
             except ConvergenceError as exc:
                 raise ConvergenceError(f"oracle failed at sample {i} (t={t:g}): {exc}",
                                        result=exc.result) from exc
-    samples = [TrajectorySample(float(t), x, float(r), schedule(t) * float(r), d)
-               for t, x, r, d in zip(times, states, res, dists)]
+    samples = [TrajectorySample(float(t), x, float(r), float(v), d)
+               for t, x, r, v, d in zip(times, states, res, speed, dists)]
     limit = samples[-1].x.copy() if samples[-1].residual < LIMIT_RESIDUAL_TOL else None
     return Trajectory(samples, mode, schedule, limit, info)
 
@@ -352,18 +348,17 @@ def _run_discrete(op: Operator, x0: np.ndarray, lam_seq: list[float],
 
 
 def _schedule_from(lambdas, K: int) -> tuple[list[float], LambdaSchedule]:
+    """The relaxation values lam_0..lam_{K-1} and the schedule they come from."""
     if isinstance(lambdas, LambdaSchedule):
-        return [float(lambdas(float(k))) for k in range(K)], lambdas
-    if np.isscalar(lambdas):
-        sched = Constant(float(lambdas))
-        return [sched.value] * K, sched
-    seq = [float(v) for v in lambdas]
-    if len(seq) < K:
-        raise UsageError(f"need at least {K} relaxation values, got {len(seq)}")
-    seq = seq[:K]
-    if any(not 0.0 <= v <= 1.0 for v in seq):
-        raise UsageError("relaxation values must lie in [0,1]")
-    return seq, PiecewiseConstant(np.arange(K, dtype=float), seq)
+        schedule = lambdas
+    elif np.isscalar(lambdas):
+        schedule = Constant(lambdas)
+    else:
+        seq = np.asarray(lambdas, dtype=float)
+        if seq.ndim != 1 or seq.size < K:
+            raise UsageError(f"need at least {K} relaxation values, got shape {seq.shape}")
+        schedule = PiecewiseConstant(np.arange(K, dtype=float), seq[:K])
+    return schedule(np.arange(K, dtype=float)).tolist(), schedule
 
 
 def km_iterate(op: Operator, x0, lambdas, K: int,
@@ -428,9 +423,7 @@ def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
     def field(t, x):
         return schedule(t) * (op(x) - x)
 
-    want = None
-    if config.sample_times is not None:
-        want = np.asarray(config.sample_times, dtype=float)
+    want = None if config.sample_times is None else np.asarray(config.sample_times)
 
     points = [(0.0, x0)]
     x = x0
@@ -454,14 +447,14 @@ def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
         ts, ys = sol.t, sol.y.T
         if want is None:
             # record every sample_stride-th accepted step, plus the endpoint
-            for i in range(1, ts.size):
-                if i % config.sample_stride == 0 or i == ts.size - 1:
-                    points.append((float(ts[i]), ys[i]))
+            idx = np.arange(1, ts.size)
+            idx = idx[(idx % config.sample_stride == 0) | (idx == ts.size - 1)]
         else:
-            for i in range(ts.size):
-                wanted = bool(np.any(np.abs(want - ts[i]) <= 1e-12)) or ts[i] == config.t_end
-                if wanted and ts[i] > points[-1][0] + 1e-15:
-                    points.append((float(ts[i]), ys[i]))
+            # solve_ivp returns exactly t_eval: the wanted times inside (a, b),
+            # then b, which is recorded only when it is wanted too
+            end_wanted = b == config.t_end or bool(np.any(np.abs(want - b) <= 1e-12))
+            idx = np.arange(ts.size if end_wanted else ts.size - 1)
+        points.extend(zip(ts[idx].tolist(), ys[idx]))
         x = ys[-1]
     info = {"method": "rk45", "rel_tol": config.rel_tol, "abs_tol": config.abs_tol,
             "nfev": int(nfev)}
@@ -484,12 +477,11 @@ def integrate_flow(op: Operator, x0, schedule: LambdaSchedule,
             raise UsageError("euler_unit requires an integer t_end >= 1")
         if not schedule.is_unit_aligned():
             raise UsageError("euler_unit requires a schedule constant on unit intervals")
-        lam_seq = [float(schedule(float(k))) for k in range(K)]
-        traj = _run_discrete(op, x0, lam_seq, oracle, schedule,
+        # unit-step Euler is the discrete iteration viewed in continuous time
+        lam_seq, _ = _schedule_from(schedule, K)
+        return _run_discrete(op, x0, lam_seq, oracle, schedule,
                              stride=config.sample_stride,
                              info={"method": "euler_unit", "K": K})
-        # unit-step Euler is the discrete iteration viewed in continuous time
-        return traj
     if config.method in ("euler", "rk4"):
         return _fixed_step_run(op, x0, schedule, config, oracle)
     return _adaptive_run(op, x0, schedule, config, oracle)

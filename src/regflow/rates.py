@@ -106,7 +106,7 @@ def fit_decay(
 
     Returns None when the metric is identically zero in the window (the run
     already converged; nothing to fit). Raises FitError when fewer than 10
-    positive samples are available.
+    positive samples, or fewer than two distinct times, are available.
     """
     if model not in ("exponential", "powerlaw"):
         raise UsageError(f"model must be 'exponential' or 'powerlaw', got {model!r}")
@@ -118,6 +118,9 @@ def fit_decay(
         raise FitError(
             f"only {t.size} positive samples of {metric!r} in window {win}; need >= 10"
         )
+    if t.min() == t.max():
+        raise FitError(f"all {t.size} samples in window {win} share one time; "
+                       "need two distinct times")
     logy = np.log(y)
     if model == "exponential":
         design = t

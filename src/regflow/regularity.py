@@ -241,7 +241,7 @@ def check_avg_inequality(
     """
     schedule = _schedule(traj, schedule)
     x_star = _fixed_point(op, x_star)
-    lam = np.array([schedule(t) for t in traj.times()])
+    lam = schedule(traj.times())
     keep = lam > 0.0
     skipped = int(np.count_nonzero(~keep))
     lam, x = lam[keep], traj.states()[keep]
@@ -285,7 +285,7 @@ def check_descent(
     xs = traj.states()
     d2 = oracle.distance_to(xs).distance ** 2
     e2 = row_norm(xs - x_star) ** 2
-    lam = np.array([schedule(t) for t in ts[1:-1]])
+    lam = schedule(ts[1:-1])
     span = ts[2:] - ts[:-2]
     res = traj.metric("residual")[1:-1]
     res_sq, v_sq = res ** 2, (lam * res) ** 2

@@ -6,8 +6,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import regflow as rf
+import regflow.cli
 from regflow.cli import main
 from regflow.config import build_scenario, load_config
+from regflow.flow import integrate_flow, km_iterate
 from regflow.scenarios import BUNDLED, certificate_operators, scenario_config
 
 
@@ -195,6 +197,23 @@ class TestCLIRun:
                 if c.get("name") == "estimate region contains trajectory"]
         assert gate and gate[0]["passed"] is False
 
+    @pytest.mark.parametrize("integrator", [
+        {"method": "rk45", "t_end": 1e12, "sample_dt": 1.0},   # 1e12 sample times
+        {"method": "euler", "t_end": 1e9, "h": 1e-3},          # 1e12 steps
+        {"method": "euler_unit", "t_end": 1e7},
+        {"method": "rk45", "t_end": -5.0, "sample_dt": 0.1},   # negative grid size
+    ])
+    def test_work_beyond_budget_exits_2(self, tmp_path, capsys, integrator):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(minimal_config(integrator=integrator)))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "integrator" in capsys.readouterr().err
+
+    def test_fix_tol_override_validated_like_field(self, tmp_path, capsys):
+        assert main(["run", "dr_two_halfspaces_km", "--fix-tol", "inf",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "fix_oracle.tol" in capsys.readouterr().err
+
     def test_byte_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "dr_two_halfspaces_km", "--out-dir", str(a)]) == 0
@@ -269,6 +288,12 @@ class TestCLIRate:
         assert code == 2
         assert "traj.csv, line 3" in err and "inf" in err
 
+    def test_rate_single_time_is_numeric_error(self, tmp_path, capsys):
+        rows = "".join(f"5,1.0,{0.5 ** k!r},{0.5 ** k!r},0.1\n" for k in range(12))
+        code, err = self._rate_on(tmp_path, capsys, self.HEADER + rows)
+        assert code == 3
+        assert "two distinct times" in err
+
     _CELL = st.one_of(
         st.floats(-1e6, 1e6).map(repr),
         st.floats(1e-12, 10.0).map(repr),
@@ -306,6 +331,11 @@ class TestCLIReg:
         assert doc["mode"] == "hoelder"
         assert 0.3 < doc["gamma"] < 0.7
 
+    def test_zero_samples_override_exits_2(self, tmp_path, capsys):
+        assert main(["reg", "two_lines_60deg", "--samples", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "--samples" in capsys.readouterr().err
+
 
 class TestVerifyCLI:
     def test_corrupt_negative_control(self, capsys):
@@ -333,6 +363,29 @@ class TestVerifyCLI:
             verdict_lines.append(verdicts)
         for other in verdict_lines[1:]:
             assert other == verdict_lines[0]
+
+    def test_trajectory_checks_make_no_per_sample_oracle_query(self, monkeypatch, capsys):
+        # the checks read states and residuals; check_descent queries Fix T itself
+        oracles = []
+
+        def spy(op, x0, schedule, config, oracle=None):
+            oracles.append(oracle)
+            return integrate_flow(op, x0, schedule, config, oracle)
+
+        monkeypatch.setattr(regflow.cli, "integrate_flow", spy)
+        assert main(["verify"]) == 0
+        assert oracles and all(o is None for o in oracles)
+
+    def test_unit_step_agreement_compares_whole_trajectories(self, monkeypatch, capsys):
+        def km_short(*args, **kwargs):
+            traj = km_iterate(*args, **kwargs)
+            traj.samples.pop()
+            return traj
+
+        monkeypatch.setattr(regflow.cli, "km_iterate", km_short)
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  unit-step Euler / relaxed iteration bitwise agreement" in out
 
 
 def test_every_bundled_scenario_names_its_claim():

@@ -43,6 +43,24 @@ class TestSchedules:
         assert s.inf_product == 0.0
         assert 0.0 <= s(1.3) <= 1.0
 
+    @pytest.mark.parametrize("sched", [
+        rf.Constant(0.25),
+        rf.PiecewiseConstant([0.0, 2.0, 5.0], [1.0, 0.25, 0.5]),
+        rf.Sinusoid(0.75, 0.2, 1.0),   # never clipped
+        rf.Sinusoid(0.5, 1.0, 2.0),    # clipped at both ends
+    ], ids=["constant", "piecewise", "sinusoid", "sinusoid_clipped"])
+    def test_array_call_matches_scalar_calls(self, sched):
+        # t = 0, just before, exactly at and beyond each breakpoint, and a dense grid
+        ts = np.concatenate([[0.0, np.nextafter(2.0, 0.0), 2.0, 5.0, 5.5, 100.0],
+                             np.linspace(0.0, 20.0, 401)])
+        lam = sched(ts)
+        assert lam.shape == ts.shape
+        assert np.array_equal(lam, [sched(float(t)) for t in ts])
+        assert np.array_equal(sched(ts[:, None]), lam[:, None])
+        if isinstance(sched, rf.Sinusoid):
+            clipped = sched.offset + abs(sched.amplitude) > 1.0
+            assert (lam.max() == 1.0 and lam.min() == 0.0) == clipped
+
     def test_unit_alignment(self):
         assert rf.Constant(1.0).is_unit_aligned()
         assert rf.PiecewiseConstant([0.0, 1.0, 2.0], [1, 0.5, 1]).is_unit_aligned()
@@ -137,6 +155,11 @@ class TestKM:
     def test_sequence_too_short(self, zero_map):
         with pytest.raises(rf.UsageError):
             rf.km_iterate(zero_map, [1.0, 0.5], [0.5], 2)
+
+    @pytest.mark.parametrize("bad", [[0.5, np.nan], [0.5, 1.5], [[0.5, 0.5]]])
+    def test_bad_relaxation_sequence_rejected(self, zero_map, bad):
+        with pytest.raises(rf.UsageError):
+            rf.km_iterate(zero_map, [1.0], bad, 2)
 
 
 class TestKMEulerEquivalence:
