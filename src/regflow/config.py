@@ -97,6 +97,13 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _count(value, path: str, low: int) -> int:
+    """An integer in [low, MAX_STEPS], the work budget; checked before any allocation."""
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= MAX_STEPS:
+        raise ConfigError(path, f"expected an integer in [{low}, {MAX_STEPS}], got {value!r}")
+    return value
+
+
 def _vector(value, path: str, dim: Optional[int] = None) -> np.ndarray:
     if not isinstance(value, list) or not all(_finite(v) for v in value):
         raise ConfigError(path, "expected a list of finite numbers")
@@ -231,8 +238,8 @@ def build_oracle(node, path: str, dim: int,
             # an override replaces the field and is validated like it
             tol = _number(node.get("tol", 1e-12) if fix_tol is None else fix_tol,
                           f"{path}.tol")
-            max_iter = int(_number(node.get("max_iter", 100_000) if fix_max_iter is None
-                                   else fix_max_iter, f"{path}.max_iter"))
+            max_iter = _count(node.get("max_iter", 100_000) if fix_max_iter is None
+                              else fix_max_iter, f"{path}.max_iter", 1)
             return Intersection(sets, tol=tol, max_iter=max_iter)
     raise ConfigError(f"{path}.kind", f"unknown oracle kind {kind!r}")
 
@@ -287,10 +294,8 @@ def build_integrator(node, path: str) -> IntegratorConfig:
 
 
 def sample_count(value, path: str) -> int:
-    """A regularity-estimate sample count: an integer >= 100."""
-    if not isinstance(value, int) or value < 100:
-        raise ConfigError(path, "expected an integer >= 100")
-    return value
+    """A regularity-estimate sample count: an integer in [100, MAX_STEPS]."""
+    return _count(value, path, 100)
 
 
 def build_x0(node, path: str, dim: int) -> np.ndarray:
@@ -323,10 +328,7 @@ def build_scenario(cfg: dict, fix_tol: Optional[float] = None,
     name = _need(cfg, "name", "$")
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "expected a nonempty string")
-    dim_raw = _need(cfg, "dimension", "$")
-    if not isinstance(dim_raw, int) or isinstance(dim_raw, bool) or dim_raw < 1:
-        raise ConfigError("dimension", "expected a positive integer")
-    dim = int(dim_raw)
+    dim = _count(_need(cfg, "dimension", "$"), "dimension", 1)
 
     operator = build_operator(_need(cfg, "operator", "$"), "operator", dim)
     schedule = build_schedule(_need(cfg, "schedule", "$"), "schedule")

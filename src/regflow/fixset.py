@@ -104,6 +104,8 @@ def dykstra_project(
         raise UsageError("need at least one set")
     if not tol > 0.0:
         raise UsageError("tol must be positive")
+    if max_iter < 1:
+        raise UsageError(f"max_iter must be at least 1, got {max_iter}")
     dim = sets[0].dim
     for s in sets:
         if s.dim != dim:
@@ -204,6 +206,8 @@ class Intersection(FixSetOracle):
             raise ConstructionError("intersection members must share one dimension")
         if not tol > 0.0:
             raise ConstructionError("tol must be positive")
+        if max_iter < 1:
+            raise ConstructionError(f"max_iter must be at least 1, got {max_iter}")
         self.sets = list(sets)
         self.dim = dim
         self.tol = float(tol)

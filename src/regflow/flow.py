@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, IntegrationError, UsageError
 from .fixset import FixSetOracle, residual
@@ -29,8 +28,17 @@ LIMIT_RESIDUAL_TOL = 1e-9
 _UNIT_GRID_TOL = 1e-9
 
 # Work budget: the most steps a fixed-step or unit-step run may take, and the
-# most sample times a config may ask the adaptive method to record.
+# most sample times a config may ask the adaptive method to record. Configs
+# also bound the dimension, estimator samples and Dykstra cycles by it.
 MAX_STEPS = 1_000_000
+
+
+def solve_ivp(*args, **kwargs):
+    """The ODE solver, imported on the first call: loading its package takes
+    most of the start-up time, which runs that solve no ODE never pay."""
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import FitError, UsageError
-from .flow import LambdaSchedule, Trajectory
+from .flow import LambdaSchedule, Trajectory, solve_ivp
 from .regularity import InequalityReport, _report, _schedule
 from .validation import as_vector
 

@@ -214,6 +214,37 @@ class TestCLIRun:
                      "--out-dir", str(tmp_path)]) == 2
         assert "fix_oracle.tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario", ["dr_two_halfspaces_km", "two_lines_60deg_km"])
+    def test_zero_fix_max_iter_exits_2(self, tmp_path, capsys, scenario):
+        # Dykstra and the all-affine solve alike: the cap is rejected, not the sets
+        assert main(["run", scenario, "--fix-max-iter", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "fix_oracle.max_iter" in capsys.readouterr().err
+
+    def test_fix_max_iter_beyond_budget_rejected_at_parse_time(self, tmp_path, capsys):
+        # ball tangent to a line: Dykstra at tol 1e-300 would cycle until max_iter
+        cfg = scenario_config("tangent_ball_line")
+        cfg["fix_oracle"] = {"kind": "intersection", "tol": 1e-300, "max_iter": 1e15,
+                             "sets": [{"kind": "ball", "center": [0.0, 1.0], "radius": 1.0},
+                                      {"kind": "hyperplane", "normal": [0.0, 1.0],
+                                       "offset": 0.0}]}
+        with pytest.raises(rf.ConfigError) as exc:
+            build_scenario(cfg)
+        assert exc.value.path == "fix_oracle.max_iter"
+        path = tmp_path / "tangent.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "fix_oracle.max_iter" in capsys.readouterr().err
+
+    def test_dimension_beyond_budget_exits_2(self, tmp_path, capsys):
+        # a coordinate x0, not a random one: were the dimension unchecked, the x0
+        # length check would still exit 2 (naming x0) without allocating 8 GB
+        cfg = minimal_config(dimension=1_000_000_000, operator={"kind": "identity"})
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "dimension:" in capsys.readouterr().err
+
     def test_byte_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "dr_two_halfspaces_km", "--out-dir", str(a)]) == 0
@@ -333,6 +364,11 @@ class TestCLIReg:
 
     def test_zero_samples_override_exits_2(self, tmp_path, capsys):
         assert main(["reg", "two_lines_60deg", "--samples", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_samples_beyond_budget_exit_2(self, tmp_path, capsys):
+        assert main(["reg", "two_lines_60deg", "--samples", "1000000000",
                      "--out-dir", str(tmp_path)]) == 2
         assert "--samples" in capsys.readouterr().err
 

@@ -60,6 +60,10 @@ class TestDykstra:
         best = exc.value.result
         assert best is not None and best.certified_tol > 0.0
 
+    def test_max_iter_below_one_is_usage_error(self):
+        with pytest.raises(rf.UsageError, match="max_iter"):
+            rf.dykstra_project([rf.Ball([0.0, 0.0], 1.0)], [2.0, 0.0], max_iter=0)
+
     def test_witness_violation_measured(self):
         sets = [rf.Ball([0.0, 0.0], 1.0), rf.HalfSpace([0.0, 1.0], 0.0)]
         res = rf.dykstra_project(sets, [2.0, 2.0], tol=1e-10)
@@ -105,6 +109,14 @@ class TestOracles:
         h2 = rf.Hyperplane([0.0, 1.0], 1.0)
         with pytest.raises(rf.ConstructionError):
             rf.Intersection([h1, h2])
+
+    @pytest.mark.parametrize("sets", [
+        [rf.HalfSpace([1.0, 0.0], 0.0), rf.HalfSpace([0.0, 1.0], 0.0)],  # Dykstra
+        [rf.Hyperplane([1.0, 0.0], 0.0), rf.Hyperplane([0.0, 1.0], 0.0)],  # affine
+    ])
+    def test_intersection_max_iter_below_one_rejected(self, sets):
+        with pytest.raises(rf.ConstructionError, match="max_iter"):
+            rf.Intersection(sets, max_iter=0)
 
     def test_distance_to_fix_dispatch(self):
         oracle = rf.Intersection([rf.HalfSpace([1.0, 0.0], 0.0),
