@@ -4,12 +4,18 @@ A scenario file fully describes one run: the operator tree, the fixed-set
 oracle, the relaxation schedule, the integrator, the start point, and which
 artifacts/checks to produce. Validation happens before any computation and
 failures carry the offending field path (e.g. ``operator.children.weights``).
+
+Each node kind is declared once, in a table (``_SETS``, ``_OPERATORS``, ...)
+that maps it to its constructor and its fields in argument order. A field is
+``(key, parse)``, or ``(key, parse, default)`` when optional, and every parser
+is called as ``parse(value, path, dim)``.
 """
 
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -63,7 +69,6 @@ class Scenario:
     rate_fit: Optional[dict] = None
     regularity: Optional[dict] = None
     paper_ref: str = ""
-    raw: dict = field(default_factory=dict)
 
 
 def load_config(path) -> dict:
@@ -91,17 +96,41 @@ def _finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-def _number(value, path: str) -> float:
+def _number(value, path: str, dim=None) -> float:
     if not _finite(value):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def _count(value, path: str, low: int) -> int:
+def _positive(value, path: str, dim=None) -> float:
+    value = _number(value, path)
+    if not value > 0.0:
+        raise ConfigError(path, "must be positive")
+    return value
+
+
+def _count(value, path: str, dim=None, low: int = 1) -> int:
     """An integer in [low, MAX_STEPS], the work budget; checked before any allocation."""
     if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= MAX_STEPS:
         raise ConfigError(path, f"expected an integer in [{low}, {MAX_STEPS}], got {value!r}")
     return value
+
+
+def _seed(value, path: str, dim=None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(path, "every random element needs an explicit integer seed")
+    if value < 0:
+        raise ConfigError(path, f"expected a non-negative seed, got {value!r}")
+    return value
+
+
+def _choice(*options):
+    """Parser for an enum field; its error names the field's last key."""
+    def parse(value, path: str, dim=None):
+        if value not in options:
+            raise ConfigError(path, f"unknown {path.rsplit('.', 1)[-1]} {value!r}")
+        return value
+    return parse
 
 
 def _vector(value, path: str, dim: Optional[int] = None) -> np.ndarray:
@@ -122,45 +151,35 @@ def _wrap(path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
-def build_set(node, path: str, dim: int) -> PrimitiveSet:
-    kind = _need(node, "kind", path)
+def _read(make, fields, node, path: str, dim):
+    """Parse ``fields`` of the object ``node`` in order and pass them to ``make``."""
+    if not isinstance(node, dict):
+        raise ConfigError(path, f"expected an object, got {type(node).__name__}")
     with _wrap(path):
-        if kind == "halfspace":
-            return HalfSpace(_vector(_need(node, "normal", path), f"{path}.normal", dim),
-                             _number(_need(node, "offset", path), f"{path}.offset"))
-        if kind == "hyperplane":
-            return Hyperplane(_vector(_need(node, "normal", path), f"{path}.normal", dim),
-                              _number(_need(node, "offset", path), f"{path}.offset"))
-        if kind == "box":
-            return Box(_vector(_need(node, "lower", path), f"{path}.lower", dim),
-                       _vector(_need(node, "upper", path), f"{path}.upper", dim))
-        if kind == "ball":
-            return Ball(_vector(_need(node, "center", path), f"{path}.center", dim),
-                        _number(_need(node, "radius", path), f"{path}.radius"))
-        if kind == "affine":
-            vecs = _need(node, "basis", path)
-            if not isinstance(vecs, list):
-                raise ConfigError(f"{path}.basis", "expected a list of spanning vectors")
-            cols = [
-                _vector(v, f"{path}.basis[{i}]", dim) for i, v in enumerate(vecs)
-            ]
-            basis = np.stack(cols, axis=1) if cols else np.zeros((dim, 0))
-            return AffineSubspace(basis,
-                                  _vector(_need(node, "offset", path), f"{path}.offset", dim))
-    raise ConfigError(f"{path}.kind", f"unknown set kind {kind!r}")
+        values = [parse(node.get(key, *default) if default else _need(node, key, path),
+                        f"{path}.{key}", dim)
+                  for key, parse, *default in fields]
+        return make(*values)
+
+
+def _build(kinds: dict, what: str, node, path: str, dim):
+    """Build ``node`` from the entry of ``kinds`` that its ``kind`` names.
+
+    An entry is ``(make, fields)``, or ``make(dim)`` for a kind without fields.
+    """
+    kind = _need(node, "kind", path)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind", f"unknown {what} kind {kind!r}")
+    entry = kinds[kind]
+    return _read(*entry, node, path, dim) if isinstance(entry, tuple) else entry(dim)
+
+
+def build_set(node, path: str, dim: int) -> PrimitiveSet:
+    return _build(_SETS, "set", node, path, dim)
 
 
 def build_function(node, path: str, dim: int) -> SimpleFunction:
-    kind = _need(node, "kind", path)
-    with _wrap(path):
-        if kind == "indicator":
-            return Indicator(build_set(_need(node, "set", path), f"{path}.set", dim))
-        if kind == "l1":
-            return L1Norm(_number(node.get("weight", 1.0), f"{path}.weight"))
-        if kind == "quadratic":
-            Q = _matrix(_need(node, "Q", path), f"{path}.Q", dim)
-            return Quadratic(Q, _vector(_need(node, "c", path), f"{path}.c", dim))
-    raise ConfigError(f"{path}.kind", f"unknown function kind {kind!r}")
+    return _build(_FUNCTIONS, "function", node, path, dim)
 
 
 def _matrix(value, path: str, dim: int) -> np.ndarray:
@@ -170,115 +189,116 @@ def _matrix(value, path: str, dim: int) -> np.ndarray:
     return np.stack(rows, axis=0)
 
 
+def _basis(value, path: str, dim: int) -> np.ndarray:
+    """Spanning vectors as the columns of a (dim, k) matrix; k may be 0."""
+    if not isinstance(value, list):
+        raise ConfigError(path, "expected a list of spanning vectors")
+    cols = [_vector(v, f"{path}[{i}]", dim) for i, v in enumerate(value)]
+    return np.stack(cols, axis=1) if cols else np.zeros((dim, 0))
+
+
+def _nonempty(parse):
+    """Parser for a nonempty list whose items ``parse`` reads at ``path[i]``."""
+    def parse_list(value, path: str, dim):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, "expected a nonempty list")
+        return [parse(item, f"{path}[{i}]", dim) for i, item in enumerate(value)]
+    return parse_list
+
+
 def build_operator(node, path: str, dim: int) -> Operator:
-    kind = _need(node, "kind", path)
-    with _wrap(path):
-        if kind == "identity":
-            return identity(dim)
-        if kind == "project":
-            return projector(build_set(_need(node, "set", path), f"{path}.set", dim))
-        if kind == "reflect":
-            return reflect(build_set(_need(node, "set", path), f"{path}.set", dim))
-        if kind == "douglas_rachford":
-            return douglas_rachford(
-                build_set(_need(node, "set_l", path), f"{path}.set_l", dim),
-                build_set(_need(node, "set_j", path), f"{path}.set_j", dim),
-            )
-        if kind == "forward_backward":
-            return forward_backward(
-                build_function(_need(node, "g", path), f"{path}.g", dim),
-                _matrix(_need(node, "Q", path), f"{path}.Q", dim),
-                _vector(_need(node, "c", path), f"{path}.c", dim),
-                _number(_need(node, "lipschitz", path), f"{path}.lipschitz"),
-                _number(_need(node, "step", path), f"{path}.step"),
-            )
-        if kind == "compose":
-            children = _need(node, "children", path)
-            if not isinstance(children, list) or not children:
-                raise ConfigError(f"{path}.children", "expected a nonempty list")
-            ops = [build_operator(ch, f"{path}.children[{i}]", dim)
-                   for i, ch in enumerate(children)]
-            return compose(ops)
-        if kind == "combine":
-            children = _need(node, "children", path)
-            if not isinstance(children, list) or not children:
-                raise ConfigError(f"{path}.children", "expected a nonempty list")
-            ops, weights = [], []
-            for i, ch in enumerate(children):
-                cpath = f"{path}.children[{i}]"
-                weights.append(_number(_need(ch, "weight", cpath), f"{cpath}.weight"))
-                ops.append(build_operator(_need(ch, "op", cpath), f"{cpath}.op", dim))
-            if abs(sum(weights) - 1.0) > 1e-12:
-                raise ConfigError(f"{path}.children.weights",
-                                  f"weights must sum to 1 within 1e-12, got {sum(weights)!r}")
-            if any(w <= 0.0 for w in weights):
-                raise ConfigError(f"{path}.children.weights",
-                                  "weights must be strictly positive")
-            return convex_combination(ops, weights)
-        if kind == "relax":
-            child = build_operator(_need(node, "child", path), f"{path}.child", dim)
-            return relax(child, _number(_need(node, "lam", path), f"{path}.lam"))
-    raise ConfigError(f"{path}.kind", f"unknown operator kind {kind!r}")
+    return _build(_OPERATORS, "operator", node, path, dim)
 
 
 def build_oracle(node, path: str, dim: int,
                  fix_tol: Optional[float] = None,
                  fix_max_iter: Optional[int] = None) -> FixSetOracle:
-    kind = _need(node, "kind", path)
-    with _wrap(path):
-        if kind == "exact":
-            return ExactSet(build_set(_need(node, "set", path), f"{path}.set", dim))
-        if kind == "point":
-            return SinglePoint(_vector(_need(node, "point", path), f"{path}.point", dim))
-        if kind == "intersection":
-            raw_sets = _need(node, "sets", path)
-            if not isinstance(raw_sets, list) or not raw_sets:
-                raise ConfigError(f"{path}.sets", "expected a nonempty list")
-            sets = [build_set(s, f"{path}.sets[{i}]", dim) for i, s in enumerate(raw_sets)]
-            # an override replaces the field and is validated like it
-            tol = _number(node.get("tol", 1e-12) if fix_tol is None else fix_tol,
-                          f"{path}.tol")
-            max_iter = _count(node.get("max_iter", 100_000) if fix_max_iter is None
-                              else fix_max_iter, f"{path}.max_iter", 1)
-            return Intersection(sets, tol=tol, max_iter=max_iter)
-    raise ConfigError(f"{path}.kind", f"unknown oracle kind {kind!r}")
+    if isinstance(node, dict):  # an override replaces the field and is validated like it
+        overrides = {"tol": fix_tol, "max_iter": fix_max_iter}
+        node = {**node, **{k: v for k, v in overrides.items() if v is not None}}
+    return _build(_ORACLES, "oracle", node, path, dim)
 
 
 def build_schedule(node, path: str) -> LambdaSchedule:
-    kind = _need(node, "kind", path)
-    with _wrap(path):
-        if kind == "constant":
-            return Constant(_number(_need(node, "value", path), f"{path}.value"))
-        if kind == "piecewise":
-            return PiecewiseConstant(
-                _vector(_need(node, "times", path), f"{path}.times"),
-                _vector(_need(node, "values", path), f"{path}.values"),
-            )
-        if kind == "sinusoid":
-            return Sinusoid(
-                _number(_need(node, "offset", path), f"{path}.offset"),
-                _number(_need(node, "amplitude", path), f"{path}.amplitude"),
-                _number(_need(node, "omega", path), f"{path}.omega"),
-            )
-    raise ConfigError(f"{path}.kind", f"unknown schedule kind {kind!r}")
+    return _build(_SCHEDULES, "schedule", node, path, None)
+
+
+_WEIGHTED_OP = (("weight", _number), ("op", build_operator))
+
+
+def _weighted_ops(value, path: str, dim: int):
+    """combine's children as (ops, weights); the weights must arrive normalized."""
+    read = _nonempty(lambda node, p, d: _read(lambda *pair: pair, _WEIGHTED_OP, node, p, d))
+    weights, ops = zip(*read(value, path, dim))
+    if abs(sum(weights) - 1.0) > 1e-12:
+        raise ConfigError(f"{path}.weights",
+                          f"weights must sum to 1 within 1e-12, got {sum(weights)!r}")
+    if any(w <= 0.0 for w in weights):
+        raise ConfigError(f"{path}.weights", "weights must be strictly positive")
+    return ops, weights
+
+
+_SETS = {
+    "halfspace": (HalfSpace, (("normal", _vector), ("offset", _number))),
+    "hyperplane": (Hyperplane, (("normal", _vector), ("offset", _number))),
+    "box": (Box, (("lower", _vector), ("upper", _vector))),
+    "ball": (Ball, (("center", _vector), ("radius", _number))),
+    "affine": (AffineSubspace, (("basis", _basis), ("offset", _vector))),
+}
+
+_FUNCTIONS = {
+    "indicator": (Indicator, (("set", build_set),)),
+    "l1": (L1Norm, (("weight", _number, 1.0),)),
+    "quadratic": (Quadratic, (("Q", _matrix), ("c", _vector))),
+}
+
+_OPERATORS = {
+    "identity": identity,
+    "project": (projector, (("set", build_set),)),
+    "reflect": (reflect, (("set", build_set),)),
+    "douglas_rachford": (douglas_rachford, (("set_l", build_set), ("set_j", build_set))),
+    "forward_backward": (forward_backward, (("g", build_function), ("Q", _matrix),
+                                            ("c", _vector), ("lipschitz", _number),
+                                            ("step", _number))),
+    "compose": (compose, (("children", _nonempty(build_operator)),)),
+    "combine": (lambda pair: convex_combination(*pair), (("children", _weighted_ops),)),
+    "relax": (relax, (("child", build_operator), ("lam", _number))),
+}
+
+_ORACLES = {
+    "exact": (ExactSet, (("set", build_set),)),
+    "point": (SinglePoint, (("point", _vector),)),
+    "intersection": (Intersection, (("sets", _nonempty(build_set)), ("tol", _number, 1e-12),
+                                    ("max_iter", _count, 100_000))),
+}
+
+_SCHEDULES = {
+    "constant": (Constant, (("value", _number),)),
+    "piecewise": (PiecewiseConstant, (("times", _vector), ("values", _vector))),
+    "sinusoid": (Sinusoid, (("offset", _number), ("amplitude", _number),
+                            ("omega", _number))),
+}
+
+# plain objects, read into dicts by build_scenario
+_RATE_FIT = (("metric", _choice("residual", "dist_fix", "dist_to_limit"), "dist_fix"),
+             ("model", _choice("auto", "exponential", "powerlaw"), "auto"))
+_REGION = (("center", _vector), ("radius", _number))
+_REGULARITY = (("mode", _choice("linear", "hoelder"), "linear"),
+               ("n_samples", partial(_count, low=100), 1000),
+               ("seed", _seed, None),
+               ("region", lambda node, path, dim: _read(Region, _REGION, node, path, dim)))
+_RANDOM_X0 = (("seed", _seed, None), ("radius", _positive))
 
 
 def build_integrator(node, path: str) -> IntegratorConfig:
     method = _need(node, "method", path)
     t_end = _number(_need(node, "t_end", path), f"{path}.t_end")
-    kwargs = {}
-    if "rel_tol" in node:
-        kwargs["rel_tol"] = _number(node["rel_tol"], f"{path}.rel_tol")
-    if "abs_tol" in node:
-        kwargs["abs_tol"] = _number(node["abs_tol"], f"{path}.abs_tol")
-    if "h" in node:
-        kwargs["h"] = _number(node["h"], f"{path}.h")
+    kwargs = {key: _number(node[key], f"{path}.{key}")
+              for key in ("rel_tol", "abs_tol", "h") if key in node}
     if "sample_stride" in node:
-        kwargs["sample_stride"] = int(_number(node["sample_stride"], f"{path}.sample_stride"))
+        kwargs["sample_stride"] = _count(node["sample_stride"], f"{path}.sample_stride")
     if "sample_dt" in node:
-        dt = _number(node["sample_dt"], f"{path}.sample_dt")
-        if not dt > 0.0:
-            raise ConfigError(f"{path}.sample_dt", "must be positive")
+        dt = _positive(node["sample_dt"], f"{path}.sample_dt")
         if not 0.0 < t_end / dt < MAX_STEPS:
             raise ConfigError(f"{path}.sample_dt", f"t_end / sample_dt must lie in (0, "
                               f"{MAX_STEPS}), the work budget; got {t_end / dt:.3g}")
@@ -295,26 +315,32 @@ def build_integrator(node, path: str) -> IntegratorConfig:
 
 def sample_count(value, path: str) -> int:
     """A regularity-estimate sample count: an integer in [100, MAX_STEPS]."""
-    return _count(value, path, 100)
+    return _count(value, path, low=100)
 
 
 def build_x0(node, path: str, dim: int) -> np.ndarray:
     if isinstance(node, list):
         return _vector(node, path, dim)
     if isinstance(node, dict) and "random" in node:
-        spec = node["random"]
-        seed = spec.get("seed")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"{path}.random.seed",
-                              "every random element needs an explicit integer seed")
-        radius = _number(_need(spec, "radius", f"{path}.random"), f"{path}.random.radius")
-        if not radius > 0.0:
-            raise ConfigError(f"{path}.random.radius", "must be positive")
+        # uniform in the centered ball of the given radius
+        seed, radius = _read(lambda *values: values, _RANDOM_X0, node["random"],
+                             f"{path}.random", dim)
         rng = np.random.default_rng(seed)
         g = rng.standard_normal(dim)
         g /= max(np.linalg.norm(g), 1e-300)
         return radius * rng.random() ** (1.0 / dim) * g
     raise ConfigError(path, "expected a coordinate list or {\"random\": {seed, radius}}")
+
+
+def _block(cfg: dict, key: str, fields, dim: int) -> Optional[dict]:
+    """The optional plain object ``cfg[key]`` read into a dict of its fields."""
+    node = cfg.get(key)
+    if node is None:
+        return None
+    if not isinstance(node, dict):
+        raise ConfigError(key, "expected an object")
+    return _read(lambda *values: dict(zip((f[0] for f in fields), values)),
+                 fields, node, key, dim)
 
 
 def build_scenario(cfg: dict, fix_tol: Optional[float] = None,
@@ -328,7 +354,11 @@ def build_scenario(cfg: dict, fix_tol: Optional[float] = None,
     name = _need(cfg, "name", "$")
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "expected a nonempty string")
-    dim = _count(_need(cfg, "dimension", "$"), "dimension", 1)
+    # artifacts are <out-dir>/<name>_<suffix>, and file names stop at 255 bytes
+    if "/" in name or "\\" in name or not name.isprintable() or len(name.encode()) > 200:
+        raise ConfigError("name", "expected a plain file name (artifacts are <name>_*): "
+                          "printable, at most 200 UTF-8 bytes, with no '/' or '\\'")
+    dim = _count(_need(cfg, "dimension", "$"), "dimension")
 
     operator = build_operator(_need(cfg, "operator", "$"), "operator", dim)
     schedule = build_schedule(_need(cfg, "schedule", "$"), "schedule")
@@ -348,39 +378,8 @@ def build_scenario(cfg: dict, fix_tol: Optional[float] = None,
     if not isinstance(checks, list) or any(c not in CHECK_KINDS for c in checks):
         raise ConfigError("checks", f"entries must be among {CHECK_KINDS}")
 
-    rate_fit = cfg.get("rate_fit")
-    if rate_fit is not None:
-        if not isinstance(rate_fit, dict):
-            raise ConfigError("rate_fit", "expected an object")
-        metric = rate_fit.get("metric", "dist_fix")
-        if metric not in ("residual", "dist_fix", "dist_to_limit"):
-            raise ConfigError("rate_fit.metric", f"unknown metric {metric!r}")
-        model = rate_fit.get("model", "auto")
-        if model not in ("auto", "exponential", "powerlaw"):
-            raise ConfigError("rate_fit.model", f"unknown model {model!r}")
-        rate_fit = {"metric": metric, "model": model}
-
-    regularity = cfg.get("regularity")
-    if regularity is not None:
-        if not isinstance(regularity, dict):
-            raise ConfigError("regularity", "expected an object")
-        mode = regularity.get("mode", "linear")
-        if mode not in ("linear", "hoelder"):
-            raise ConfigError("regularity.mode", f"unknown mode {mode!r}")
-        n_samples = sample_count(regularity.get("n_samples", 1000), "regularity.n_samples")
-        seed = regularity.get("seed")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError("regularity.seed",
-                              "every random element needs an explicit integer seed")
-        region_node = _need(regularity, "region", "regularity")
-        center = _vector(_need(region_node, "center", "regularity.region"),
-                         "regularity.region.center", dim)
-        radius = _number(_need(region_node, "radius", "regularity.region"),
-                         "regularity.region.radius")
-        with _wrap("regularity.region"):
-            region = Region(center, radius)
-        regularity = {"mode": mode, "n_samples": n_samples, "seed": seed,
-                      "region": region}
+    rate_fit = _block(cfg, "rate_fit", _RATE_FIT, dim)
+    regularity = _block(cfg, "regularity", _REGULARITY, dim)
 
     if regularity is not None and oracle is None:
         raise ConfigError("regularity", "estimation requires a fix_oracle")
@@ -397,5 +396,5 @@ def build_scenario(cfg: dict, fix_tol: Optional[float] = None,
         name=name, dim=dim, operator=operator, schedule=schedule,
         integrator=integrator, x0=x0, oracle=oracle,
         outputs=tuple(outputs), checks=tuple(checks),
-        rate_fit=rate_fit, regularity=regularity, paper_ref=paper_ref, raw=cfg,
+        rate_fit=rate_fit, regularity=regularity, paper_ref=paper_ref,
     )

@@ -1,4 +1,7 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import regflow as rf
 import regflow.cli
 from regflow.cli import main
 from regflow.config import build_scenario, load_config
-from regflow.flow import integrate_flow, km_iterate
+from regflow.flow import MAX_STEPS, integrate_flow, km_iterate
 from regflow.scenarios import BUNDLED, certificate_operators, scenario_config
 
 
@@ -245,6 +248,47 @@ class TestCLIRun:
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "dimension:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("random", [5, [1], "x"])
+    def test_non_object_random_x0_exits_2(self, tmp_path, capsys, random):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(x0={"random": random})))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "x0.random: expected an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stride", [1.5, 2.7])
+    def test_fractional_sample_stride_exits_2(self, tmp_path, capsys, stride):
+        integrator = {"method": "euler", "t_end": 1.0, "h": 0.1, "sample_stride": stride}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(integrator=integrator)))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert "integrator.sample_stride:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name", [
+        ("run", "sub/dir"), ("run", "../escaped"), ("reg", "../escaped"),
+        ("run", "a\x00b"), ("run", "\ud800"), pytest.param("run", "n" * 250, id="run-long"),
+    ])
+    def test_name_that_is_not_a_plain_file_name_writes_nothing(self, tmp_path, capsys,
+                                                                command, name):
+        # never an absolute name here: a regression would write at the filesystem root
+        cfg = minimal_config(name=name, fix_oracle={
+            "kind": "exact",
+            "set": {"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "name: expected a plain file name" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [path]
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = scenario_config("two_lines_60deg")
+        cfg["regularity"]["seed"] = -1
+        for field, bad in (("x0.random.seed", minimal_config(
+                x0={"random": {"seed": -1, "radius": 1.0}})), ("regularity.seed", cfg)):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(bad))
+            assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+            assert f"{field}: expected a non-negative seed" in capsys.readouterr().err
+
     def test_byte_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "dr_two_halfspaces_km", "--out-dir", str(a)]) == 0
@@ -434,3 +478,170 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(rf.ConfigError):
         load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# config fuzzing: valid scenarios built kind by kind, then one field mutated
+# ---------------------------------------------------------------------------
+
+OP = object()  # marks a nested operator in an example below
+
+
+def _template(value, op):
+    """Strategy for a JSON template whose OP markers draw from ``op``."""
+    if value is OP:
+        return op
+    if isinstance(value, st.SearchStrategy):
+        return value
+    if isinstance(value, dict):
+        return st.fixed_dictionaries({k: _template(v, op) for k, v in value.items()})
+    if isinstance(value, list):
+        return st.tuples(*(_template(v, op) for v in value)).map(list)
+    return st.just(value)
+
+
+def _nodes(examples, op=None):
+    """Strategy for a node of any kind in ``examples`` (kind -> field -> value)."""
+    return st.one_of([_template({"kind": kind, **fields}, op)
+                      for kind, fields in examples.items()])
+
+
+# A valid dimension-2 value for every field of every kind in config's tables.
+# Every set contains the origin, so every intersection is nonempty.
+SET_EXAMPLES = {
+    "halfspace": {"normal": [0.0, 1.0], "offset": 0.5},
+    "hyperplane": {"normal": [1.0, 1.0], "offset": 0.0},
+    "box": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]},
+    "ball": {"center": [0.0, 0.0], "radius": 1.0},
+    "affine": {"basis": [[1.0, -1.0]], "offset": [0.0, 0.0]},
+}
+SETS = _nodes(SET_EXAMPLES)
+FUNCTION_EXAMPLES = {
+    "indicator": {"set": SETS},
+    "l1": {"weight": 0.5},
+    "quadratic": {"Q": [[1.0, 0.0], [0.0, 1.0]], "c": [0.0, 0.0]},
+}
+OPERATOR_EXAMPLES = {  # identity last: it makes the regularity estimate degenerate
+    "project": {"set": SETS},
+    "reflect": {"set": SETS},
+    "douglas_rachford": {"set_l": SETS, "set_j": SETS},
+    "forward_backward": {"g": _nodes(FUNCTION_EXAMPLES), "Q": [[2.0, 0.0], [0.0, 1.0]],
+                         "c": [1.0, 0.0], "lipschitz": 2.0, "step": 0.5},
+    "compose": {"children": [OP, OP]},
+    "combine": {"children": [{"weight": 0.25, "op": OP}, {"weight": 0.75, "op": OP}]},
+    "relax": {"child": OP, "lam": 0.5},
+    "identity": {},
+}
+ORACLE_EXAMPLES = {
+    "exact": {"set": SETS},
+    "point": {"point": [0.0, 0.0]},
+    "intersection": {"sets": [SETS, SETS], "tol": 1e-9, "max_iter": 1000},
+}
+SCHEDULE_EXAMPLES = {
+    "constant": {"value": 1.0},
+    "piecewise": {"times": [0.0, 0.5], "values": [1.0, 0.5]},
+    "sinusoid": {"offset": 0.5, "amplitude": 0.25, "omega": 2.0},
+}
+NESTING = ("compose", "combine", "relax")
+OPERATORS = st.recursive(
+    _nodes({k: f for k, f in OPERATOR_EXAMPLES.items() if k not in NESTING}),
+    lambda ops: _nodes({k: OPERATOR_EXAMPLES[k] for k in NESTING}, ops),
+    max_leaves=3)
+# samples 0.1 apart, enough for the derivative checks and the rate fit's window
+INTEGRATORS = [
+    {"method": "rk45", "t_end": 3.0, "sample_dt": 0.1, "rel_tol": 1e-6, "abs_tol": 1e-9},
+    {"method": "rk45", "t_end": 2.0, "sample_times": [k / 10 for k in range(21)]},
+    {"method": "rk4", "t_end": 2.0, "h": 0.05, "sample_stride": 2},
+    {"method": "euler", "t_end": 2.0, "h": 0.1},
+    {"method": "euler_unit", "t_end": 30.0},
+]
+# a separator only in relative names: at a commit without the name rule, an
+# absolute one would write at the filesystem root; 8 characters climb at
+# most 3 levels, and the out dir sits 4 below the example's own directory
+TEXT = st.text(max_size=8).filter(lambda s: not s.startswith(("/", "\\")))
+NAMES = st.sampled_from(["fuzz"] * 4 + ["sub/dir", "../escaped", "a\\b", "n" * 250])
+REGULARITY = {"mode": st.sampled_from(["linear", "hoelder"]), "n_samples": 100, "seed": 0,
+              "region": {"center": [0.0, 0.0], "radius": 2.0}}
+RATE_FIT = {"metric": st.sampled_from(["residual", "dist_fix", "dist_to_limit"]),
+            "model": st.sampled_from(["auto", "exponential", "powerlaw"])}
+RANDOM_X0 = {"seed": 0, "radius": 1.0}
+SCENARIOS = st.fixed_dictionaries({
+    "schema": st.just(1),
+    "name": NAMES,
+    "dimension": st.just(2),
+    "operator": OPERATORS,
+    "schedule": _nodes(SCHEDULE_EXAMPLES),
+    "integrator": st.sampled_from(INTEGRATORS),
+    "x0": st.sampled_from([[1.0, 0.5], {"random": RANDOM_X0}]),
+    "fix_oracle": _nodes(ORACLE_EXAMPLES),
+    "regularity": _template(REGULARITY, None),
+    "rate_fit": _template(RATE_FIT, None),
+    "checks": st.just(["avg_inequality", "descent", "rate_bound"]),
+    "outputs": st.just(["trajectory_csv", "ratefit_json", "regularity_json", "report_json"]),
+    "paper_ref": st.just("fuzz"),
+})
+KIND_NAMES = sorted({kind for examples in (SET_EXAMPLES, FUNCTION_EXAMPLES, OPERATOR_EXAMPLES,
+                                           ORACLE_EXAMPLES, SCHEDULE_EXAMPLES)
+                     for kind in examples})
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 1000) | st.floats(-10.0, 10.0)
+    | st.sampled_from([1.5, 1e-300, 1e300, -1e300, float("inf"), float("nan"), 10**30,
+                       MAX_STEPS + 1])
+    | TEXT | st.sampled_from(KIND_NAMES),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(TEXT, kids, max_size=3),
+    max_leaves=6)
+DELETE = object()
+
+
+def field_paths(node, prefix=()):
+    """Every key and list index of a JSON tree, as a tuple path."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+def test_fuzz_examples_cover_every_kind_and_field():
+    import regflow.config as config
+
+    for table, examples in ((config._SETS, SET_EXAMPLES), (config._FUNCTIONS, FUNCTION_EXAMPLES),
+                            (config._OPERATORS, OPERATOR_EXAMPLES),
+                            (config._ORACLES, ORACLE_EXAMPLES),
+                            (config._SCHEDULES, SCHEDULE_EXAMPLES)):
+        assert examples.keys() == table.keys()
+        for kind, entry in table.items():
+            fields = entry[1] if isinstance(entry, tuple) else ()
+            assert list(examples[kind]) == [field[0] for field in fields]
+    for block, fields in ((REGULARITY, config._REGULARITY), (REGULARITY["region"], config._REGION),
+                          (RATE_FIT, config._RATE_FIT), (RANDOM_X0, config._RANDOM_X0)):
+        assert list(block) == [field[0] for field in fields]
+
+
+@settings(max_examples=300, deadline=5000, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(cfg=SCENARIOS, data=st.data())
+def _run_mutated(root, cfg, data):
+    cfg = copy.deepcopy(cfg)  # the examples are shared between draws
+    path = data.draw(st.sampled_from(list(field_paths(cfg))), label="path")
+    value = data.draw(st.just(DELETE) | JSON_VALUES, label="value")
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory(dir=root) as tmp:
+        tmp = Path(tmp)
+        cfg_path, out = tmp / "cfg.json", tmp / "a" / "b" / "c" / "out"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", str(cfg_path), "--out-dir", str(out)]) in (0, 1, 2, 3)
+        assert [p for p in root.rglob("*") if p.is_file()
+                and p != cfg_path and out not in p.parents] == []
+
+
+def test_mutated_config_keeps_exit_contract(tmp_path):
+    import scipy.integrate  # noqa: F401 -- else the first rk45 example pays the import
+
+    _run_mutated(tmp_path)
