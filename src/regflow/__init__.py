@@ -13,6 +13,7 @@ from .errors import (
     DegenerateEstimateError,
     FitError,
     IntegrationError,
+    NumericRangeError,
     RegflowError,
     UsageError,
 )

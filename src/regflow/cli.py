@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import Scenario, build_scenario, sample_count
+from .config import Scenario, build_scenario, check_seed, sample_count
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -29,6 +29,7 @@ from .errors import (
     DegenerateEstimateError,
     FitError,
     IntegrationError,
+    NumericRangeError,
     UsageError,
 )
 from .fixset import Intersection, SinglePoint
@@ -70,7 +71,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 _CONFIG_ERRORS = (ConfigError, UsageError, ConstructionError)
-_NUMERIC_ERRORS = (ConvergenceError, IntegrationError, FitError, DegenerateEstimateError)
+_NUMERIC_ERRORS = (ConvergenceError, IntegrationError, FitError, DegenerateEstimateError,
+                   NumericRangeError)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -78,11 +80,12 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _out_dir(flag_value) -> Path:
-    if flag_value:
-        d = Path(flag_value)
-    else:
-        d = Path(os.environ.get("REGFLOW_OUT_DIR", "."))
-    d.mkdir(parents=True, exist_ok=True)
+    d = Path(flag_value or os.environ.get("REGFLOW_OUT_DIR", "."))
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot use {str(d)!r} as the output directory: "
+                         f"{exc.strerror or exc}") from None
     return d
 
 
@@ -387,7 +390,7 @@ def _cmd_reg(args) -> int:
     mode = args.mode or reg["mode"]
     n_samples = (reg["n_samples"] if args.samples is None
                  else sample_count(args.samples, "--samples"))
-    seed = reg["seed"] if args.seed is None else args.seed
+    seed = reg["seed"] if args.seed is None else check_seed(args.seed, "--seed")
     est = estimate_operator_regularity(scenario.operator, scenario.oracle,
                                        reg["region"], n_samples=n_samples,
                                        mode=mode, seed=seed)
@@ -403,7 +406,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "verify":
-            return verify_all(seed=args.seed, corrupt=args.corrupt)
+            return verify_all(seed=check_seed(args.seed, "--seed"), corrupt=args.corrupt)
         if args.command == "rate":
             return _cmd_rate(args)
         if args.command == "reg":

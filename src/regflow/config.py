@@ -116,7 +116,8 @@ def _count(value, path: str, dim=None, low: int = 1) -> int:
     return value
 
 
-def _seed(value, path: str, dim=None) -> int:
+def check_seed(value, path: str, dim=None) -> int:
+    """A random seed: a non-negative integer."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(path, "every random element needs an explicit integer seed")
     if value < 0:
@@ -285,9 +286,9 @@ _RATE_FIT = (("metric", _choice("residual", "dist_fix", "dist_to_limit"), "dist_
 _REGION = (("center", _vector), ("radius", _number))
 _REGULARITY = (("mode", _choice("linear", "hoelder"), "linear"),
                ("n_samples", partial(_count, low=100), 1000),
-               ("seed", _seed, None),
+               ("seed", check_seed, None),
                ("region", lambda node, path, dim: _read(Region, _REGION, node, path, dim)))
-_RANDOM_X0 = (("seed", _seed, None), ("radius", _positive))
+_RANDOM_X0 = (("seed", check_seed, None), ("radius", _positive))
 
 
 def build_integrator(node, path: str) -> IntegratorConfig:

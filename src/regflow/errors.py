@@ -44,3 +44,7 @@ class FitError(RegflowError, RuntimeError):
 
 class DegenerateEstimateError(RegflowError, RuntimeError):
     """All samples fell below the degeneracy floor; no estimate possible."""
+
+
+class NumericRangeError(RegflowError, ArithmeticError):
+    """A computed quantity left the range of a float."""

@@ -149,12 +149,6 @@ class FixSetOracle:
     def distance_to(self, x) -> DistanceResult:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return self.describe()
-
 
 class ExactSet(FixSetOracle):
     """Fix T known to be a primitive set with a closed-form projector."""
@@ -167,9 +161,6 @@ class ExactSet(FixSetOracle):
         x = as_point(x, self.dim)
         w = self.set._project(x)
         return DistanceResult(row_norm(x - w), w, self.set.distance(w))
-
-    def describe(self) -> str:
-        return f"ExactSet({self.set.describe()})"
 
 
 class SinglePoint(FixSetOracle):
@@ -184,9 +175,6 @@ class SinglePoint(FixSetOracle):
         w = np.empty_like(x)
         w[...] = self.point
         return DistanceResult(row_norm(x - w), w, row_norm(w - self.point))
-
-    def describe(self) -> str:
-        return f"SinglePoint(dim={self.dim})"
 
 
 class Intersection(FixSetOracle):
@@ -231,10 +219,6 @@ class Intersection(FixSetOracle):
         if self._affine is not None:
             return affine_intersection_project(self._affine, x)
         return dykstra_project(self.sets, x, tol=self.tol, max_iter=self.max_iter)
-
-    def describe(self) -> str:
-        inner = ", ".join(s.describe() for s in self.sets)
-        return f"Intersection({inner})"
 
 
 def distance_to_fix(oracle: FixSetOracle, x) -> DistanceResult:

@@ -2,9 +2,9 @@
 
 Two modes share one metric pipeline: a continuous mode (adaptive or fixed-step
 integrators approximating the strong global solution) and a discrete mode (the
-relaxed iteration x_{k+1} = (1-lam_k) x_k + lam_k T(x_k)). The unit-step Euler
-method is by definition that iteration, so both run the same update code and
-produce bit-identical iterates.
+relaxed iteration x_{k+1} = (1-lam_k) x_k + lam_k T(x_k)). All fixed-step methods
+run one marcher over a time grid: an Euler step of size h from t_k is the relaxed
+step with relaxation h lambda(t_k), so unit-step Euler is that iteration, bit for bit.
 
 The vector field is globally Lipschitz (T nonexpansive, lambda <= 1), so no
 stability guard beyond standard adaptive control is needed.
@@ -336,37 +336,53 @@ def sample_metrics(traj: Trajectory, op: Operator,
 
 
 # ---------------------------------------------------------------------------
-# Discrete iteration (and unit-step Euler, which is the same update)
+# Fixed-step marching: the relaxed iteration, unit-step Euler, Euler and RK4
 # ---------------------------------------------------------------------------
 
 def _relaxed_step(x: np.ndarray, lam: float, tx: np.ndarray) -> np.ndarray:
     return (1.0 - lam) * x + lam * tx
 
 
-def _run_discrete(op: Operator, x0: np.ndarray, lam_seq: list[float],
-                  oracle: Optional[FixSetOracle], schedule: LambdaSchedule,
-                  stride: int, info: dict) -> Trajectory:
-    points = [(0.0, x0)]
+def _march(op: Operator, x0: np.ndarray, times: np.ndarray, schedule: LambdaSchedule,
+           oracle: Optional[FixSetOracle], stride: int, method: str, **info) -> Trajectory:
+    """Step x0 = x(times[0]) across ``times``, recording every ``stride``-th step
+    and the last. An RK4 step is the classical four-stage one; any other step
+    from t_k to t_{k+1} is the relaxed step of relaxation (t_{k+1} - t_k) lambda(t_k):
+    explicit Euler for the flow, and at unit steps the relaxed iteration itself."""
+    dts = np.diff(times)
+    relaxations = dts * schedule(times[:-1])
+
+    def field_at(t, x):
+        return schedule(t) * (op(x) - x)
+
+    points = [(float(times[0]), x0)]
     x = x0
-    for k, lam in enumerate(lam_seq):
-        x = _relaxed_step(x, lam, op(x))
-        if (k + 1) % stride == 0 or k + 1 == len(lam_seq):
-            points.append((float(k + 1), x))
-    return _finalize(op, schedule, oracle, points, "discrete", info)
+    steps = zip(times[:-1].tolist(), dts.tolist(), relaxations.tolist())
+    for k, (t, dt, lam) in enumerate(steps, start=1):
+        if method == "rk4":
+            k1 = field_at(t, x)
+            k2 = field_at(t + dt / 2, x + (dt / 2) * k1)
+            k3 = field_at(t + dt / 2, x + (dt / 2) * k2)
+            k4 = field_at(t + dt, x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            x = _relaxed_step(x, lam, op(x))
+        if k % stride == 0 or k == dts.size:
+            points.append((float(times[k]), x))
+    mode = "continuous" if method in ("euler", "rk4") else "discrete"
+    return _finalize(op, schedule, oracle, points, mode, {"method": method, **info})
 
 
-def _schedule_from(lambdas, K: int) -> tuple[list[float], LambdaSchedule]:
-    """The relaxation values lam_0..lam_{K-1} and the schedule they come from."""
+def _schedule_from(lambdas, K: int) -> LambdaSchedule:
+    """The schedule whose values at 0..K-1 are the relaxations lam_0..lam_{K-1}."""
     if isinstance(lambdas, LambdaSchedule):
-        schedule = lambdas
-    elif np.isscalar(lambdas):
-        schedule = Constant(lambdas)
-    else:
-        seq = np.asarray(lambdas, dtype=float)
-        if seq.ndim != 1 or seq.size < K:
-            raise UsageError(f"need at least {K} relaxation values, got shape {seq.shape}")
-        schedule = PiecewiseConstant(np.arange(K, dtype=float), seq[:K])
-    return schedule(np.arange(K, dtype=float)).tolist(), schedule
+        return lambdas
+    if np.isscalar(lambdas):
+        return Constant(lambdas)
+    seq = np.asarray(lambdas, dtype=float)
+    if seq.ndim != 1 or seq.size < K:
+        raise UsageError(f"need at least {K} relaxation values, got shape {seq.shape}")
+    return PiecewiseConstant(np.arange(K, dtype=float), seq[:K])
 
 
 def km_iterate(op: Operator, x0, lambdas, K: int,
@@ -379,9 +395,9 @@ def km_iterate(op: Operator, x0, lambdas, K: int,
     if K < 1:
         raise UsageError("K must be >= 1")
     x0 = as_vector(x0, op.dim)
-    lam_seq, schedule = _schedule_from(lambdas, int(K))
-    return _run_discrete(op, x0, lam_seq, oracle, schedule, stride=1,
-                         info={"method": "km", "K": int(K)})
+    K = int(K)
+    return _march(op, x0, np.arange(K + 1.0), _schedule_from(lambdas, K), oracle, 1,
+                  "km", K=K)
 
 
 # ---------------------------------------------------------------------------
@@ -393,38 +409,16 @@ def _segments(schedule: LambdaSchedule, t_end: float) -> list[tuple[float, float
     return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
 
-def _fixed_step_run(op, x0, schedule, config, oracle) -> Trajectory:
-    h = float(config.h)
-    rk4 = config.method == "rk4"
-
-    def field_at(t, x):
-        return schedule(t) * (op(x) - x)
-
-    points = [(0.0, x0)]
-    x = x0
-    step_count = 0
-    for a, b in _segments(schedule, config.t_end):
+def _step_grid(schedule: LambdaSchedule, t_end: float, h: float) -> np.ndarray:
+    """0, then steps of size h from the start of each segment; a segment's last
+    step ends exactly at its breakpoint, so the grid ends exactly at t_end."""
+    grid = [np.zeros(1)]
+    for a, b in _segments(schedule, t_end):
         n_steps = max(int(np.ceil((b - a) / h - 1e-12)), 1)
-        t = a
-        for i in range(n_steps):
-            t_next = min(a + (i + 1) * h, b)
-            dt = t_next - t
-            if rk4:
-                k1 = field_at(t, x)
-                k2 = field_at(t + dt / 2, x + (dt / 2) * k1)
-                k3 = field_at(t + dt / 2, x + (dt / 2) * k2)
-                k4 = field_at(t + dt, x + dt * k3)
-                x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
-                x = x + dt * field_at(t, x)
-            t = t_next
-            step_count += 1
-            if step_count % config.sample_stride == 0 or t >= config.t_end - 1e-15:
-                points.append((t, x))
-    if points[-1][0] < config.t_end - 1e-15:
-        points.append((config.t_end, x))
-    info = {"method": config.method, "h": h, "steps": step_count}
-    return _finalize(op, schedule, oracle, points, "continuous", info)
+        seg = np.minimum(a + np.arange(1, n_steps + 1) * h, b)
+        seg[-1] = b
+        grid.append(seg)
+    return np.concatenate(grid)
 
 
 def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
@@ -486,10 +480,10 @@ def integrate_flow(op: Operator, x0, schedule: LambdaSchedule,
         if not schedule.is_unit_aligned():
             raise UsageError("euler_unit requires a schedule constant on unit intervals")
         # unit-step Euler is the discrete iteration viewed in continuous time
-        lam_seq, _ = _schedule_from(schedule, K)
-        return _run_discrete(op, x0, lam_seq, oracle, schedule,
-                             stride=config.sample_stride,
-                             info={"method": "euler_unit", "K": K})
+        return _march(op, x0, np.arange(K + 1.0), schedule, oracle, config.sample_stride,
+                      "euler_unit", K=K)
     if config.method in ("euler", "rk4"):
-        return _fixed_step_run(op, x0, schedule, config, oracle)
+        times = _step_grid(schedule, config.t_end, config.h)
+        return _march(op, x0, times, schedule, oracle, config.sample_stride, config.method,
+                      h=float(config.h), steps=times.size - 1)
     return _adaptive_run(op, x0, schedule, config, oracle)

@@ -97,9 +97,6 @@ class SimpleFunction:
 
     dim: Optional[int] = None  # None = any dimension
 
-    def value(self, x) -> float:
-        raise NotImplementedError
-
     def prox(self, x, step: float) -> np.ndarray:
         raise NotImplementedError
 
@@ -110,9 +107,6 @@ class Indicator(SimpleFunction):
     def __init__(self, set_: PrimitiveSet):
         self.set = set_
         self.dim = set_.dim
-
-    def value(self, x) -> float:
-        return 0.0 if self.set.contains(x) else float("inf")
 
     def prox(self, x, step: float) -> np.ndarray:
         return self.set._project(x)
@@ -125,9 +119,6 @@ class L1Norm(SimpleFunction):
         if weight < 0.0:
             raise ConstructionError("l1 weight must be nonnegative")
         self.weight = float(weight)
-
-    def value(self, x) -> float:
-        return self.weight * float(np.sum(np.abs(as_vector(x))))
 
     def prox(self, x, step: float) -> np.ndarray:
         thr = step * self.weight
@@ -149,10 +140,6 @@ class Quadratic(SimpleFunction):
         if eigs[0] < -1e-10:
             raise ConstructionError(f"Q must be PSD (min eigenvalue {eigs[0]:.3e})")
         self.max_eig = float(eigs[-1])
-
-    def value(self, x) -> float:
-        x = as_vector(x, self.dim)
-        return 0.5 * float(x @ self.Q @ x) - float(self.c @ x)
 
     def prox(self, x, step: float) -> np.ndarray:
         A = np.eye(self.dim) + step * self.Q

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FitError, UsageError
+from .errors import FitError, NumericRangeError, UsageError
 from .flow import LambdaSchedule, Trajectory, solve_ivp
 from .regularity import InequalityReport, _report, _schedule
 from .validation import as_vector
@@ -222,13 +222,22 @@ def hoelder_bound_constant(kappa: float, gamma: float, lam_star: float) -> float
     Comes from applying the power-law comparison lemma to u = d^2 with
     u' <= -alpha u^{1/gamma}, alpha = lam*/kappa^{2/gamma}: the lemma constant
     is (gamma/(alpha(1-gamma)))^{gamma/(1-gamma)} and M0 is its square root.
+    Raises NumericRangeError when M0 overflows, as it does for gamma near 1.
     """
     if not 0.0 < gamma < 1.0:
         raise UsageError("gamma must lie in (0,1)")
     if not (kappa > 0.0 and lam_star > 0.0):
         raise UsageError("kappa and lambda* must be positive")
-    alpha = lam_star / kappa ** (2.0 / gamma)
-    return (gamma / (alpha * (1.0 - gamma))) ** (gamma / (2.0 * (1.0 - gamma)))
+    kappa, gamma, lam_star = float(kappa), float(gamma), float(lam_star)
+    try:
+        alpha = lam_star / kappa ** (2.0 / gamma)
+        m0 = (gamma / (alpha * (1.0 - gamma))) ** (gamma / (2.0 * (1.0 - gamma)))
+    except (OverflowError, ZeroDivisionError):
+        m0 = math.inf
+    if not math.isfinite(m0):
+        raise NumericRangeError(f"the Hoelder bound constant M0 overflows at "
+                                f"kappa={kappa:.17g}, gamma={gamma:.17g}")
+    return m0
 
 
 def check_hoelder_rate_bound(

@@ -62,11 +62,14 @@ class _Linear(PrimitiveSet):
 
     def __init__(self, normal, offset: float):
         self.normal = as_vector(normal, name="normal")
-        if not np.any(self.normal):
-            raise ConstructionError(f"{type(self).__name__} normal must be nonzero")
+        with np.errstate(over="ignore", under="ignore"):
+            self._nsq = float(self.normal @ self.normal)
+        # projections divide by ||a||^2: it must be a normal float, not 0, subnormal or inf
+        if not np.finfo(float).tiny <= self._nsq < np.inf:
+            raise ConstructionError(f"{type(self).__name__} normal must be nonzero with a "
+                                    f"squared norm in the float range, got {self._nsq:g}")
         self.offset = float(offset)
         self.dim = self.normal.shape[0]
-        self._nsq = float(self.normal @ self.normal)
 
     def _excess(self, x):
         """(<a, x> - b) / ||a||^2 per row, shaped to broadcast against ``x``."""

@@ -289,6 +289,68 @@ class TestCLIRun:
             assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
             assert f"{field}: expected a non-negative seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "reg"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_dir_that_is_not_a_directory_exits_2(self, tmp_path, capsys, command,
+                                                       below):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        argv = [command, "two_lines_60deg_km", "--out-dir", str(afile / below)]
+        assert main(argv + (["--samples", "200"] if command == "reg" else [])) == 2
+        assert "as the output directory" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [afile] and afile.read_text() == "keep"
+
+    def test_out_dir_env_that_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        monkeypatch.setenv("REGFLOW_OUT_DIR", str(afile / "sub"))
+        assert main(["run", "two_lines_60deg_km"]) == 2
+        assert "as the output directory" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [afile]
+
+    def test_hoelder_rate_bound_branch(self, tmp_path, capsys):
+        assert main(["run", "tangent_ball_line", "--out-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "tangent_ball_line_report.json").read_text())
+        bound = [c for c in report["checks"]
+                 if c.get("bound_name") == "power-law rate under Hoelder regularity"]
+        assert len(bound) == 1 and bound[0]["passed"] is True
+        assert "power-law rate under Hoelder regularity [distance_bound]" in \
+            capsys.readouterr().out
+
+    def test_hoelder_bound_overflow_exits_3(self, tmp_path, capsys):
+        # the estimate gives gamma a hair below 1, where the bound constant overflows
+        half = {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.5}
+        cfg = minimal_config(
+            operator={"kind": "relax", "lam": 0.5,
+                      "child": {"kind": "project", "set": half}},
+            fix_oracle={"kind": "exact", "set": half},
+            schedule={"kind": "constant", "value": 0.5},
+            integrator={"method": "rk45", "t_end": 120.0, "sample_dt": 0.5},
+            x0=[1.0, 1.5], checks=["rate_bound"], outputs=["report_json"],
+            regularity={"mode": "hoelder", "seed": 0,
+                        "region": {"center": [0.0, 0.0], "radius": 2.0}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert "M0 overflows at kappa=" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "mini_report.json").read_text())
+        assert report["partial"] is True and "gamma=0.99999" in report["error"]
+
+    @pytest.mark.parametrize("normal", [[1e200, 0.0], [1e-200, 0.0], [1e155, 1e155]])
+    def test_normal_outside_float_range_exits_2(self, tmp_path, capsys, normal):
+        # with ||a||^2 = inf, x0 = [5, 1] passed as a fixed point outside the set
+        half = {"kind": "halfspace", "normal": normal, "offset": 0.0}
+        cfg = minimal_config(operator={"kind": "project", "set": half},
+                             fix_oracle={"kind": "exact", "set": half},
+                             integrator={"method": "euler_unit", "t_end": 20.0},
+                             x0=[5.0, 1.0], checks=["avg_inequality"],
+                             outputs=["report_json"])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "operator.set: HalfSpace normal" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*")) == [path]
+
     def test_byte_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "dr_two_halfspaces_km", "--out-dir", str(a)]) == 0
@@ -416,6 +478,12 @@ class TestCLIReg:
                      "--out-dir", str(tmp_path)]) == 2
         assert "--samples" in capsys.readouterr().err
 
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert main(["reg", "two_lines_60deg", "--seed", "-1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "--seed: expected a non-negative seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestVerifyCLI:
     def test_corrupt_negative_control(self, capsys):
@@ -424,6 +492,10 @@ class TestVerifyCLI:
         out = capsys.readouterr().out
         assert "corrupted_expansive" in out
         assert "nonexpansiveness" in out
+
+    def test_negative_seed_flag_exits_2(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        assert "--seed: expected a non-negative seed" in capsys.readouterr().err
 
     def test_certificate_corpus_builds(self):
         ops = certificate_operators()

@@ -202,6 +202,50 @@ class TestKMEulerEquivalence:
             rf.integrate_flow(two_lines["op"], [1.0, 1.0], rf.Constant(1.0), cfg)
 
 
+class TestFixedStepMarch:
+    def test_euler_step_is_relaxed_step_of_relaxation_h_lambda(self, two_lines):
+        op, sched = two_lines["op"], rf.Sinusoid(0.6, 0.3, 2.0)
+        traj = rf.integrate_flow(op, [4.0, 3.0], sched,
+                                 rf.IntegratorConfig("euler", 2.0, h=0.25))
+        ts, xs = traj.times(), traj.states()
+        assert ts.size == 9 and ts[-1] == 2.0
+        for k in range(ts.size - 1):
+            lam = (ts[k + 1] - ts[k]) * sched(ts[k])
+            np.testing.assert_array_equal(xs[k + 1], (1.0 - lam) * xs[k] + lam * op(xs[k]))
+
+    def test_euler_at_unit_step_is_the_relaxed_iteration(self, two_lines):
+        km = rf.km_iterate(two_lines["op"], [4.0, 3.0], 0.7, 20)
+        eu = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(0.7),
+                               rf.IntegratorConfig("euler", 20.0, h=1.0))
+        np.testing.assert_array_equal(eu.times(), km.times())
+        np.testing.assert_array_equal(eu.states(), km.states())
+
+    def test_segment_ends_exactly_at_its_breakpoint(self, zero_map):
+        # (b - a)/h lies 1e-13 above 3: the segment's third step is stretched to b,
+        # so no sliver of [0, b] is skipped and no sample repeats a state
+        b = 0.30000000000001
+        sched = rf.PiecewiseConstant([0.0, b], [1.0, 0.5])
+        cfg = rf.IntegratorConfig("euler", 0.6, h=0.1)
+        traj = rf.integrate_flow(zero_map, [1.0], sched, cfg)
+        ts = traj.times()
+        assert ts[3] == b and ts[-1] == 0.6 and ts.size == 7
+        short = rf.integrate_flow(zero_map, [1.0], rf.Constant(1.0),
+                                  rf.IntegratorConfig("rk4", b, h=0.1))
+        assert short.times().tolist() == [0.0, 0.1, 0.2, b]
+        assert np.all(np.diff(short.states()[:, 0]) < 0.0)
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_stride_records_every_stride_th_step_and_the_last(self, two_lines, method):
+        def run(stride):
+            cfg = rf.IntegratorConfig(method, 1.0, h=0.1, sample_stride=stride)
+            return rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(0.8), cfg)
+
+        full, every4 = run(1), run(4)
+        assert full.times().size == 11
+        np.testing.assert_array_equal(every4.times(), full.times()[[0, 4, 8, 10]])
+        np.testing.assert_array_equal(every4.states(), full.states()[[0, 4, 8, 10]])
+
+
 class TestTrajectoryProperties:
     def test_fejer_monotone_along_flow(self, two_lines):
         cfg = rf.IntegratorConfig("rk45", 10.0, rel_tol=1e-10, abs_tol=1e-12,

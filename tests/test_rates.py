@@ -184,6 +184,13 @@ class TestHoelderRateBound:
         bc_bad = rf.check_hoelder_rate_bound(bad, 2.0, gamma, rf.Constant(0.8))
         assert not bc_bad.passed
 
+    def test_constant_overflow_is_numeric_error_naming_kappa_and_gamma(self):
+        # gamma near 1: the exponent gamma/(2(1-gamma)) leaves the float range
+        with pytest.raises(rf.NumericRangeError, match=r"kappa=1, gamma=0\.999"):
+            rf.hoelder_bound_constant(1.0, 0.999, 0.5)
+        with pytest.raises(rf.NumericRangeError):
+            rf.hoelder_bound_constant(np.float64(1e10), 0.01, 0.5)  # kappa^(2/gamma)
+
     def test_start_at_fixed_point_trivial(self):
         t = np.linspace(0.0, 5.0, 51)
         samples = [TrajectorySample(float(ti), np.zeros(1), 0.0, 0.0, 0.0)

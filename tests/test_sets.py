@@ -95,6 +95,15 @@ class TestConstructionErrors:
         with pytest.raises(rf.ConstructionError):
             rf.Hyperplane([0.0, 0.0], 0.0)
 
+    @pytest.mark.parametrize("normal", [[1e200, 0.0], [1e-200, 0.0], [1e155, 1e155]])
+    def test_normal_with_squared_norm_outside_float_range_rejected(self, normal):
+        # ||a||^2 overflows or underflows: projections would pass points through
+        # unchanged or return NaN; the check itself emits no RuntimeWarning
+        with np.errstate(all="raise"):
+            for cls in (rf.HalfSpace, rf.Hyperplane):
+                with pytest.raises(rf.ConstructionError, match="squared norm"):
+                    cls(normal, 0.0)
+
     def test_bad_radius_rejected(self):
         with pytest.raises(rf.ConstructionError):
             rf.Ball([0.0, 0.0], 0.0)
