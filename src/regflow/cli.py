@@ -391,12 +391,13 @@ def _cmd_reg(args) -> int:
     n_samples = (reg["n_samples"] if args.samples is None
                  else sample_count(args.samples, "--samples"))
     seed = reg["seed"] if args.seed is None else check_seed(args.seed, "--seed")
+    out_dir = _out_dir(args.out_dir)
     est = estimate_operator_regularity(scenario.operator, scenario.oracle,
                                        reg["region"], n_samples=n_samples,
                                        mode=mode, seed=seed)
     doc = est.to_dict()
     print(json.dumps(doc, indent=2, sort_keys=True))
-    _write_json(_out_dir(args.out_dir) / f"{scenario.name}_regularity.json", doc)
+    _write_json(out_dir / f"{scenario.name}_regularity.json", doc)
     return EXIT_OK
 
 

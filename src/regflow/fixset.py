@@ -96,9 +96,10 @@ def dykstra_project(
     Plain alternating projections only find *some* feasible point; the
     correction terms below are what make the limit the nearest point, which is
     what the distance function needs. A row stops when the cycle-to-cycle
-    movement of its iterate and its worst constraint violation both drop below
-    ``tol``. Raises ConvergenceError naming the first failing row, carrying the
-    best iterates, if ``max_iter`` cycles are exhausted first.
+    movement of its iterate drops below ``tol`` and then its worst constraint
+    violation, measured only on such rows, is below ``tol`` too. Raises
+    ConvergenceError naming the first failing row, carrying the best iterates,
+    if ``max_iter`` cycles are exhausted first.
     """
     if not sets:
         raise UsageError("need at least one set")
@@ -123,11 +124,14 @@ def dykstra_project(
             shifted = z + increments[i]
             z = s._project(shifted)
             increments[i] = shifted - z
-        violation = reduce(np.maximum, (row_norm(z - s._project(z)) for s in sets))
-        done = (row_norm(z - z_prev) < tol) & (violation < tol)
-        if done.any():
-            out[rows[done]] = z[done]
-            rows, z, increments = rows[~done], z[~done], increments[:, ~done]
+        done = row_norm(z - z_prev) < tol
+        if done.any():  # the violation is measured only on rows that stopped moving
+            settled = z[done]
+            done[done] = reduce(np.maximum, (row_norm(settled - s._project(settled))
+                                             for s in sets)) < tol
+            if done.any():
+                out[rows[done]] = z[done]
+                rows, z, increments = rows[~done], z[~done], increments[:, ~done]
     else:
         out[rows] = z
     witness = out if x.ndim == 2 else out[0]

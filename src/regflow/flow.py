@@ -236,15 +236,18 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write `t,x_0..x_{n-1},residual,dist_fix,speed` with 17 significant digits."""
         dim = self.dim
+        # one template per row kind, filled once per row; csv's "\r\n" line ends
+        cells = ",".join([_CELL] * (dim + 2))
+        with_dist = f"{cells},{_CELL},{_CELL}\r\n"
+        without_dist = f"{cells},,{_CELL}\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"x_{i}" for i in range(dim)]
-                            + ["residual", "dist_fix", "speed"])
-            for s in self.samples:
-                row = [_fmt(s.t)] + [_fmt(v) for v in s.x] + [_fmt(s.residual)]
-                row.append("" if s.dist_fix is None else _fmt(s.dist_fix))
-                row.append(_fmt(s.speed))
-                writer.writerow(row)
+            fh.write(",".join(["t"] + [f"x_{i}" for i in range(dim)]
+                              + ["residual", "dist_fix", "speed"]) + "\r\n")
+            fh.writelines(
+                without_dist % (s.t, *s.x.tolist(), s.residual, s.speed)
+                if s.dist_fix is None else
+                with_dist % (s.t, *s.x.tolist(), s.residual, s.dist_fix, s.speed)
+                for s in self.samples)
 
     @staticmethod
     def from_csv(path) -> "Trajectory":
@@ -279,15 +282,18 @@ def _parse_row(row: list[str], dim: int) -> TrajectorySample:
                             _finite(speed), None if dist == "" else _finite(dist))
 
 
+_CELL = "%.17g"  # the same digits as format(v, ".17g"): round trips any double
+
+
+def _fmt(v: float) -> str:
+    return _CELL % float(v)
+
+
 def _finite(cell: str) -> float:
     value = float(cell)
     if not math.isfinite(value):
         raise UsageError(f"non-finite value {cell!r}")
     return value
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ from .errors import UsageError
 
 
 def _checked(x, dim: int | None, name: str, ndims: tuple, shape: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)  # as np.atleast_1d, less overhead
     if arr.ndim not in ndims:
         raise UsageError(f"{name} must be {shape}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise UsageError(f"{name} must be finite (no NaN/Inf)")
     if dim is not None and arr.shape[-1] != dim:
         raise UsageError(f"{name} has dimension {arr.shape[-1]}, expected {dim}")

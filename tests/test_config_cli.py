@@ -1,6 +1,7 @@
 import copy
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,21 @@ class TestCLIRun:
         assert "operator.set: HalfSpace normal" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [path]
 
+    def test_rk45_right_hand_side_rejects_non_finite_state(self, tmp_path, capsys):
+        # the first stages overflow to inf/nan; each stage's T(x) validates x
+        half = {"kind": "halfspace", "normal": [1e150, 0.0], "offset": 0.0}
+        cfg = minimal_config(operator={"kind": "project", "set": half},
+                             x0=[1e200, 1e200])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", str(path), "--out-dir", str(tmp_path / "out")])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and "x must be finite" in err and "Traceback" not in err
+        assert elapsed < 10.0
+
     def test_byte_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "dr_two_halfspaces_km", "--out-dir", str(a)]) == 0
@@ -477,6 +493,15 @@ class TestCLIReg:
         assert main(["reg", "two_lines_60deg", "--samples", "1000000000",
                      "--out-dir", str(tmp_path)]) == 2
         assert "--samples" in capsys.readouterr().err
+
+    def test_bad_out_dir_exits_2_before_printing(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        assert main(["reg", "two_lines_60deg_km", "--samples", "200",
+                     "--out-dir", str(afile)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "as the output directory" in captured.err
+        assert list(tmp_path.rglob("*")) == [afile]
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["reg", "two_lines_60deg", "--seed", "-1",

@@ -1,8 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 import regflow as rf
 from conftest import pairs_in_ball
+from regflow.scenarios import BUNDLED, certificate_operators, load_scenario
+from regflow.sets import row_norm
 
 
 class TestResidual:
@@ -196,3 +200,95 @@ class TestDistanceProperties:
         r1, r2 = oracle.distance_to(x), oracle.distance_to(x)
         assert r1.distance == r2.distance
         np.testing.assert_array_equal(r1.witness, r2.witness)
+
+
+def eager_dykstra(sets, x, tol, max_iter):
+    """Dykstra with the eager stopping rule: every cycle measures every row's
+    violation, then stops the rows whose movement and violation are below tol."""
+    x = np.asarray(x, dtype=float)
+    z = np.atleast_2d(x)
+    out, rows = z.copy(), np.arange(z.shape[0])
+    increments = np.zeros((len(sets),) + z.shape)
+    for _ in range(max_iter):
+        if not rows.size:
+            break
+        z_prev = z
+        for i, s in enumerate(sets):
+            shifted = z + increments[i]
+            z = s._project(shifted)
+            increments[i] = shifted - z
+        violation = reduce(np.maximum, (row_norm(z - s._project(z)) for s in sets))
+        done = (row_norm(z - z_prev) < tol) & (violation < tol)
+        if done.any():
+            out[rows[done]] = z[done]
+            rows, z, increments = rows[~done], z[~done], increments[:, ~done]
+    else:
+        out[rows] = z
+    witness = out if x.ndim == 2 else out[0]
+    violation = reduce(np.maximum, (s.distance(witness) for s in sets))
+    result = rf.DistanceResult(row_norm(x - witness), witness, violation)
+    if rows.size:
+        raise rf.ConvergenceError(
+            f"Dykstra did not meet tol={tol:g} within {max_iter} cycles at row "
+            f"{rows[0]} (violation {np.atleast_1d(violation)[rows[0]]:.3e})",
+            result=result)
+    return result
+
+
+def dykstra_outcome(project, sets, x, tol, max_iter):
+    try:
+        return project(sets, x, tol=tol, max_iter=max_iter), None
+    except rf.ConvergenceError as exc:
+        return exc.result, str(exc)
+
+
+def bundled_dykstra_intersections():
+    oracles = [load_scenario(name).oracle for name in BUNDLED]
+    oracles += [oracle for _, oracle in certificate_operators()]
+    return [o for o in oracles if isinstance(o, rf.Intersection) and o._affine is None]
+
+
+class TestDykstraLazyViolation:
+    """The violation is measured only on rows that stopped moving; the rows that
+    stop, their witnesses and the failures equal the eager rule's, bit for bit."""
+
+    def assert_same_as_eager(self, sets, x, tol, max_iter):
+        got, got_msg = dykstra_outcome(rf.dykstra_project, sets, x, tol, max_iter)
+        want, want_msg = dykstra_outcome(eager_dykstra, sets, x, tol, max_iter)
+        assert got_msg == want_msg
+        np.testing.assert_array_equal(got.witness, want.witness)
+        np.testing.assert_array_equal(got.distance, want.distance)
+        np.testing.assert_array_equal(got.certified_tol, want.certified_tol)
+
+    def test_bundled_intersections_on_a_10k_batch(self):
+        oracles = bundled_dykstra_intersections()
+        assert len(oracles) >= 3
+        for k, oracle in enumerate(oracles):
+            pts = rf.sample_region(rf.Region(np.zeros(oracle.dim), 10.0), 10_000, k)
+            self.assert_same_as_eager(oracle.sets, pts, oracle.tol, oracle.max_iter)
+            self.assert_same_as_eager(oracle.sets, pts[0], oracle.tol, oracle.max_iter)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 30, 300])
+    def test_convergence_errors_match(self, max_iter):
+        # ball tangent to a line: rows inside the ball settle at once, the others crawl
+        sets = [rf.Ball([0.0, 1.0], 1.0), rf.Hyperplane([0.0, 1.0], 0.0)]
+        pts = rf.sample_region(rf.Region(np.zeros(2), 4.0), 300, 4)
+        self.assert_same_as_eager(sets, pts, 1e-12, max_iter)
+        for oracle in bundled_dykstra_intersections():
+            self.assert_same_as_eager(oracle.sets, pts[:50], oracle.tol, max_iter)
+        self.assert_same_as_eager(sets, [1.0, 0.5], 1e-300, max_iter)
+        # disjoint parallel lines: rows stop moving while the violation stays 1
+        parallel = [rf.Hyperplane([0.0, 1.0], 0.0), rf.Hyperplane([0.0, 1.0], 1.0)]
+        self.assert_same_as_eager(parallel, pts[:50], 1e-12, max_iter)
+
+    def test_one_kernel_call_per_set_while_rows_move(self, monkeypatch):
+        sets = [rf.Ball([0.0, 1.0], 1.0), rf.Hyperplane([0.0, 1.0], 0.0)]
+        calls = []
+        for s in sets:
+            kernel = s._project
+            monkeypatch.setattr(s, "_project",
+                                lambda z, kernel=kernel: calls.append(1) or kernel(z))
+        with pytest.raises(rf.ConvergenceError):
+            rf.dykstra_project(sets, [[1.0, 0.5], [2.0, 3.0]], tol=1e-300, max_iter=50)
+        # 50 cycles of one projection per set, then the witness's violation
+        assert len(calls) == len(sets) * 50 + len(sets)

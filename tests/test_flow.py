@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 import regflow as rf
 import regflow.flow as flow_mod
+from regflow.scenarios import BUNDLED, load_scenario
 
 
 class TestSchedules:
@@ -416,6 +419,57 @@ class TestCSV:
         draws = list(np.exp(rng.uniform(-300, 300, 200)) * rng.choice([-1, 1], 200))
         for v in specials + draws:
             assert float(_fmt(float(v))) == float(v)
+
+
+def _csv_writer_bytes(traj, path):
+    """The file as csv.writer writes it, one format(v, ".17g") per cell."""
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x_{i}" for i in range(traj.dim)]
+                        + ["residual", "dist_fix", "speed"])
+        for s in traj.samples:
+            writer.writerow([fmt(s.t)] + [fmt(v) for v in s.x] + [fmt(s.residual)]
+                            + ["" if s.dist_fix is None else fmt(s.dist_fix)]
+                            + [fmt(s.speed)])
+    return path.read_bytes()
+
+
+class TestCSVBytes:
+    """``to_csv`` fills a row template; its bytes are csv.writer's, cell for cell."""
+
+    def assert_same_bytes(self, traj, tmp_path):
+        traj.to_csv(tmp_path / "new.csv")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            _csv_writer_bytes(traj, tmp_path / "old.csv")
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_trajectory(self, name, tmp_path):
+        sc = load_scenario(name)
+        traj = rf.integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator,
+                                 oracle=sc.oracle)
+        self.assert_same_bytes(traj, tmp_path)
+
+    def test_all_none_dist_fix(self, zero_map, tmp_path):
+        traj = rf.km_iterate(zero_map, [1.0], 0.5, 60)
+        assert all(s.dist_fix is None for s in traj.samples)
+        self.assert_same_bytes(traj, tmp_path)
+
+    def test_mixed_dist_fix_read_back(self, tmp_path):
+        rng = np.random.default_rng(8)
+        values = [0.0, -0.0, 5e-324, 1e308, -1e-300, np.pi, 0.1, 123456789.0]
+        samples = [rf.TrajectorySample(float(k), rng.standard_normal(3) * 10.0 ** k,
+                                       values[k % 8], values[(k + 3) % 8],
+                                       None if k % 3 == 0 else values[(k + 5) % 8])
+                   for k in range(-12, 12)]
+        path = tmp_path / "mixed.csv"
+        _csv_writer_bytes(rf.Trajectory(samples, "continuous", None), path)
+        traj = rf.Trajectory.from_csv(path)
+        assert [s.dist_fix is None for s in traj.samples] == \
+            [s.dist_fix is None for s in samples]
+        self.assert_same_bytes(traj, tmp_path)
 
 
 class TestIntegrationFailure:

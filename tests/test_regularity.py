@@ -4,6 +4,7 @@ import pytest
 import regflow as rf
 from regflow.flow import Trajectory, TrajectorySample
 from regflow.regularity import (
+    _core_identity_gaps,
     check_averagedness,
     check_nonexpansiveness,
     check_sqne,
@@ -319,6 +320,30 @@ class TestCoreIdentities:
         rep = rf.check_core_identities(2000, seed=5)
         assert rep.passed
         assert rep.n_points == 2200  # identity part + gradient part
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_sweep_gaps_equal_scalar_gaps_bit_for_bit(self, seed):
+        affine, gradient = _core_identity_gaps(1500, seed)
+        rng = np.random.default_rng(seed)  # the sweep's draws, one triple at a time
+        for gap in affine:
+            dim = int(rng.integers(1, 9))
+            alpha = float(rng.uniform(-2.0, 2.0))
+            u = rng.standard_normal(dim) * 2.0
+            v = rng.standard_normal(dim) * 2.0
+            assert gap == rf.affine_combination_identity_gap(alpha, u, v)
+        assert gradient.shape == (150,)
+        for gap in gradient:
+            dim = int(rng.integers(2, 6))
+            set_ = rf.random_primitive_set(rng, dim)
+            assert gap == rf.distance_sq_gradient_gap(set_, rng.standard_normal(dim) * 3.0)
+
+    def test_gradient_gap_uses_one_distance_batch(self, monkeypatch):
+        box = rf.Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+        calls = []
+        distance = box.distance
+        monkeypatch.setattr(box, "distance", lambda x: calls.append(np.shape(x)) or distance(x))
+        assert rf.distance_sq_gradient_gap(box, [4.0, -1.0, 1.5]) <= 1e-6
+        assert calls == [(6, 3)]
 
     def test_ball_gradient_radial(self):
         ball = rf.Ball([0.0, 0.0], 1.0)
