@@ -63,7 +63,7 @@ from .scenarios import (
     load_scenario,
     resolve_config_source,
 )
-from .sets import Box, HalfSpace, Hyperplane
+from .sets import Hyperplane
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -98,46 +98,31 @@ def _print_check(tag: str, passed: bool, value: float, value_name: str) -> None:
 # run
 # ---------------------------------------------------------------------------
 
-def _resolve_x_bar(scenario: Scenario, traj: Trajectory):
-    if traj.limit_estimate is not None:
-        return traj.limit_estimate
-    if isinstance(scenario.oracle, SinglePoint):
-        return scenario.oracle.point
-    return None
+# Trajectory checks shared by `run` and `verify`: each maps (scenario,
+# trajectory, x*), x* the fixed point nearest x0, to an InequalityReport.
+_TRAJECTORY_CHECKS = {
+    "avg_inequality": lambda sc, traj, x_star: check_avg_inequality(
+        traj, sc.operator, x_star, sc.schedule),
+    "descent": lambda sc, traj, x_star: check_descent(
+        traj, sc.operator, sc.oracle, x_star, sc.schedule),
+}
 
 
 def run_scenario(scenario: Scenario, out_dir: Path) -> int:
-    """Run one validated scenario: integrate, estimate, fit, check, write."""
-    ops = scenario.outputs
-    name = scenario.name
-    report: dict = {"schema": 1, "name": name, "paper_ref": scenario.paper_ref,
-                    "checks": []}
-    try:
-        traj = integrate_flow(scenario.operator, scenario.x0, scenario.schedule,
-                              scenario.integrator, oracle=scenario.oracle)
-    except IntegrationError as exc:
-        if exc.partial is not None and "trajectory_csv" in ops:
-            exc.partial.to_csv(out_dir / f"{name}_trajectory.csv")
-        return _fail(scenario, report, exc, out_dir)
+    """Run one validated scenario: integrate, estimate, fit, check, write.
 
-    if "trajectory_csv" in ops:
-        traj.to_csv(out_dir / f"{name}_trajectory.csv")
-
+    A numeric failure writes the report so far, marked partial, and exits 3.
+    """
+    report: dict = {"schema": 1, "name": scenario.name,
+                    "paper_ref": scenario.paper_ref, "checks": []}
     try:
-        return _run_post_trajectory(scenario, traj, out_dir, report)
+        return _run_stages(scenario, out_dir, report)
     except _NUMERIC_ERRORS as exc:
-        return _fail(scenario, report, exc, out_dir)
-
-
-def _fail(scenario: Scenario, report: dict, exc: Exception, out_dir: Path) -> int:
-    """Record a numeric failure as a partial report and return its exit code."""
-    report["partial"] = True
-    report["error"] = str(exc)
-    report["passed"] = False
-    if "report_json" in scenario.outputs:
-        _write_json(out_dir / f"{scenario.name}_report.json", report)
-    print(f"ERROR  {scenario.name}: {exc}", file=sys.stderr)
-    return EXIT_NUMERIC
+        report.update(partial=True, error=str(exc), passed=False)
+        if "report_json" in scenario.outputs:
+            _write_json(out_dir / f"{scenario.name}_report.json", report)
+        print(f"ERROR  {scenario.name}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def _fit_doc(traj: Trajectory, metric: str, model: str) -> dict:
@@ -151,10 +136,19 @@ def _fit_doc(traj: Trajectory, metric: str, model: str) -> dict:
             model: None if fit is None else fit.to_dict()}
 
 
-def _run_post_trajectory(scenario: Scenario, traj: Trajectory, out_dir: Path,
-                         report: dict) -> int:
+def _run_stages(scenario: Scenario, out_dir: Path, report: dict) -> int:
     ops = scenario.outputs
     name = scenario.name
+    try:
+        traj = integrate_flow(scenario.operator, scenario.x0, scenario.schedule,
+                              scenario.integrator, oracle=scenario.oracle)
+    except IntegrationError as exc:
+        if exc.partial is not None and "trajectory_csv" in ops:
+            exc.partial.to_csv(out_dir / f"{name}_trajectory.csv")
+        raise
+    if "trajectory_csv" in ops:
+        traj.to_csv(out_dir / f"{name}_trajectory.csv")
+
     estimate = None
     if scenario.regularity is not None:
         reg = scenario.regularity
@@ -172,42 +166,31 @@ def _run_post_trajectory(scenario: Scenario, traj: Trajectory, out_dir: Path,
         report["rate_fit"] = fit_doc
 
     if scenario.checks:
-        x_star = scenario.oracle.distance_to(scenario.x0).witness
+        nearest = scenario.oracle.distance_to(scenario.x0)
         for check in scenario.checks:
-            if check == "avg_inequality":
-                rep = check_avg_inequality(traj, scenario.operator, x_star,
-                                           scenario.schedule)
+            if check != "rate_bound":
+                rep = _TRAJECTORY_CHECKS[check](scenario, traj, nearest.witness)
                 report["checks"].append(rep.to_dict())
                 _print_check(f"{name}: {rep.name}", rep.passed, rep.worst_slack,
                              "worst_slack")
-            elif check == "descent":
-                rep = check_descent(traj, scenario.operator, scenario.oracle,
-                                    x_star, scenario.schedule)
-                report["checks"].append(rep.to_dict())
-                _print_check(f"{name}: {rep.name}", rep.passed, rep.worst_slack,
-                             "worst_slack")
-            elif check == "rate_bound":
-                region = scenario.regularity["region"]
-                dists = np.linalg.norm(traj.states() - region.center[None, :], axis=1)
-                contained = bool(dists.max() <= region.radius + 1e-9)
-                report["checks"].append({
-                    "name": "estimate region contains trajectory",
-                    "passed": contained,
-                })
-                x_bar = _resolve_x_bar(scenario, traj)
-                if estimate.mode == "linear":
-                    bc = check_linear_rate_bound(
-                        traj, estimate.kappa, scenario.schedule,
-                        d0=scenario.oracle.distance_to(scenario.x0).distance,
-                        x_bar=x_bar)
-                else:
-                    bc = check_hoelder_rate_bound(
-                        traj, estimate.kappa, estimate.gamma, scenario.schedule,
-                        x_bar=x_bar)
-                report["checks"].append(bc.to_dict())
-                for bname, margin in bc.margins.items():
-                    _print_check(f"{name}: {bc.bound_name} [{bname}]",
-                                 margin >= -bc.tolerance, margin, "margin")
+                continue
+            region = scenario.regularity["region"]
+            dists = np.linalg.norm(traj.states() - region.center[None, :], axis=1)
+            report["checks"].append({"name": "estimate region contains trajectory",
+                                     "passed": bool(dists.max() <= region.radius + 1e-9)})
+            x_bar = traj.limit_estimate
+            if x_bar is None and isinstance(scenario.oracle, SinglePoint):
+                x_bar = scenario.oracle.point
+            if estimate.mode == "linear":
+                bc = check_linear_rate_bound(traj, estimate.kappa, scenario.schedule,
+                                             d0=nearest.distance, x_bar=x_bar)
+            else:
+                bc = check_hoelder_rate_bound(traj, estimate.kappa, estimate.gamma,
+                                              scenario.schedule, x_bar=x_bar)
+            report["checks"].append(bc.to_dict())
+            for bname, margin in bc.margins.items():
+                _print_check(f"{name}: {bc.bound_name} [{bname}]",
+                             margin >= -bc.tolerance, margin, "margin")
 
     all_passed = all(c["passed"] for c in report["checks"])
     report["passed"] = all_passed
@@ -260,12 +243,13 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
     for rep in verify_comparison_lemmas(alphas[:, None], gammas[None, :], 1.0):
         record(rep)
 
-    # lemma sweeps over the bundled SQNE families (every member 1-SQNE)
+    # lemma sweeps over the bundled SQNE families (every member 1-SQNE); the
+    # 90-degree axis pair is in no scenario
+    continuous = {sname: load_scenario(sname) for sname in CONTINUOUS}
     pts = sample_region(Region(np.zeros(2), 10.0), 500, seed)
     l1, l2 = Hyperplane([0.0, 1.0], 0.0), Hyperplane([1.0, 0.0], 0.0)
-    boxes = (Box([0.0, 0.0], [2.0, 2.0]), Box([1.0, 0.5], [3.0, 3.0]),
-             Box([0.5, 1.0], [2.5, 2.5]))
-    h1, h2 = HalfSpace([1.0, 0.0], 0.0), HalfSpace([0.0, 1.0], 0.0)
+    boxes = continuous["cyclic_three_boxes"].oracle.sets
+    h1, h2 = continuous["dr_two_halfspaces"].oracle.sets
     third = 1.0 / 3.0
     for ops, weights, fix_sets in (
         ([projector(l1), projector(l2)], [0.5, 0.5], [l1, l2]),
@@ -278,14 +262,12 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
         record(check_composition_bound(ops, rhos, pts, oracle))
 
     # trajectory inequality checks over the continuous corpus
-    for sname in CONTINUOUS:
-        sc = load_scenario(sname)
+    for sname, sc in continuous.items():
         traj = integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator)
         x_star = sc.oracle.distance_to(sc.x0).witness
-        rep = check_avg_inequality(traj, sc.operator, x_star, sc.schedule)
-        record(dataclasses.replace(rep, name=f"{rep.name} [{sname}]"))
-        rep = check_descent(traj, sc.operator, sc.oracle, x_star, sc.schedule)
-        record(dataclasses.replace(rep, name=f"{rep.name} [{sname}]"))
+        for check in _TRAJECTORY_CHECKS.values():
+            rep = check(sc, traj, x_star)
+            record(dataclasses.replace(rep, name=f"{rep.name} [{sname}]"))
 
     # discrete/continuous agreement at unit steps
     for sname in DISCRETE:
@@ -353,25 +335,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_config(config_source: str, out_dir=None, fix_tol=None,
-               fix_max_iter=None) -> int:
-    """Resolve a config (bundled name or file path), build it, and run it."""
-    cfg = resolve_config_source(config_source)
-    scenario = build_scenario(cfg, fix_tol=fix_tol, fix_max_iter=fix_max_iter)
-    return run_scenario(scenario, _out_dir(out_dir))
-
-
 def _cmd_run(args) -> int:
-    return run_config(args.config, out_dir=args.out_dir, fix_tol=args.fix_tol,
-                      fix_max_iter=args.fix_max_iter)
+    scenario = build_scenario(resolve_config_source(args.config), fix_tol=args.fix_tol,
+                              fix_max_iter=args.fix_max_iter)
+    return run_scenario(scenario, _out_dir(args.out_dir))
 
 
 def _cmd_rate(args) -> int:
     traj = Trajectory.from_csv(args.trajectory)
     metric = args.metric
     if metric is None:
-        has_dist = all(s.dist_fix is not None for s in traj.samples)
-        metric = "dist_fix" if has_dist else "residual"
+        metric = "dist_fix" if np.isfinite(traj.metric("dist_fix")).all() else "residual"
     model = {"exp": "exponential", "pow": "powerlaw", "auto": "auto"}[args.model]
     print(json.dumps(_fit_doc(traj, metric, model), indent=2, sort_keys=True))
     return EXIT_OK
@@ -401,24 +375,25 @@ def _cmd_reg(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "verify": lambda args: verify_all(seed=check_seed(args.seed, "--seed"),
+                                      corrupt=args.corrupt),
+    "rate": _cmd_rate,
+    "reg": _cmd_reg,
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return verify_all(seed=check_seed(args.seed, "--seed"), corrupt=args.corrupt)
-        if args.command == "rate":
-            return _cmd_rate(args)
-        if args.command == "reg":
-            return _cmd_reg(args)
+        return _COMMANDS[args.command](args)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERIC_ERRORS as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import FitError, NumericRangeError, UsageError
 from .flow import LambdaSchedule, Trajectory, solve_ivp
-from .regularity import InequalityReport, _report, _schedule
+from .regularity import InequalityReport, _report, _schedule, record_dict
 from .validation import as_vector
 
 # Fit window default: drop the early transient, keep the last 80% of samples
@@ -42,11 +42,8 @@ class RateFit:
         return self.rss / self.n_points if self.n_points else float("inf")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model, "M": self.M, "rate": self.rate, "rss": self.rss,
-            "rss_per_point": self.rss_per_point, "n_points": self.n_points,
-            "fit_window": list(self.fit_window),
-        }
+        return record_dict(self, rss_per_point=self.rss_per_point,
+                           fit_window=list(self.fit_window))
 
 
 @dataclass(frozen=True)
@@ -65,12 +62,7 @@ class BoundCheck:
     margins: dict
 
     def to_dict(self) -> dict:
-        return {
-            "bound_name": self.bound_name, "n_points": self.n_points,
-            "worst_margin": self.worst_margin, "passed": self.passed,
-            "tolerance": self.tolerance, "margins": dict(self.margins),
-            "evaluated_at": "sample times",
-        }
+        return record_dict(self, margins=dict(self.margins), evaluated_at="sample times")
 
 
 def _window_data(traj: Trajectory, metric: str, model: str,
@@ -155,22 +147,35 @@ def select_model(
 # Explicit rate bounds
 # ---------------------------------------------------------------------------
 
-def _resolve_limit(traj: Trajectory, x_bar) -> np.ndarray:
+def _bound_inputs(traj: Trajectory, schedule: LambdaSchedule, x_bar, rate: str):
+    """(lam*, t, d, ||x - xbar||) per sample for a rate bound, after the
+    prerequisites every bound shares: inf lambda > 0, a complete dist_fix
+    series and a limit point (``x_bar``, else the trajectory's limit estimate)."""
+    lam_star = schedule.inf_value
+    if not lam_star > 0.0:
+        raise UsageError(f"the {rate} bound needs inf lambda > 0")
+    d = traj.metric("dist_fix")
+    if np.any(~np.isfinite(d)):
+        raise UsageError("trajectory lacks dist_fix samples; rerun with an oracle")
     if x_bar is not None:
-        return as_vector(x_bar, traj.dim)
-    if traj.limit_estimate is None:
+        xbar = as_vector(x_bar, traj.dim)
+    elif traj.limit_estimate is None:
         raise UsageError(
             "trajectory has no limit_estimate (final residual above threshold); "
             "run longer, or pass x_bar explicitly"
         )
-    return traj.limit_estimate
+    else:
+        xbar = traj.limit_estimate
+    err = np.linalg.norm(traj.states() - xbar[None, :], axis=1)
+    return lam_star, traj.times(), d, err
 
 
-def _dist_series(traj: Trajectory) -> np.ndarray:
-    d = traj.metric("dist_fix")
-    if np.any(~np.isfinite(d)):
-        raise UsageError("trajectory lacks dist_fix samples; rerun with an oracle")
-    return d
+def _bound_check(bound_name: str, tol: float, **margins: np.ndarray) -> BoundCheck:
+    """The verdict from per-sample margins (bound - observed), kept in the given order."""
+    worst_margins = {name: float(m.min()) for name, m in margins.items()}
+    worst = min(worst_margins.values())
+    n_points = next(iter(margins.values())).size
+    return BoundCheck(bound_name, n_points, worst, bool(worst >= -tol), tol, worst_margins)
 
 
 def check_linear_rate_bound(
@@ -193,27 +198,14 @@ def check_linear_rate_bound(
     schedule = _schedule(traj, schedule)
     if not kappa > 0.0:
         raise UsageError("kappa must be positive")
-    lam_star = schedule.inf_value
-    if not lam_star > 0.0:
-        raise UsageError("the exponential bound needs inf lambda > 0")
-    d = _dist_series(traj)
+    lam_star, t, d, err = _bound_inputs(traj, schedule, x_bar, "exponential")
     if d0 is None:
         d0 = float(d[0])
-    xbar = _resolve_limit(traj, x_bar)
-    t = traj.times()
-    err = np.linalg.norm(traj.states() - xbar[None, :], axis=1)
     decay = np.exp(-(lam_star / kappa ** 2) * t)
-    m1 = decay * d0 ** 2 - d ** 2
-    m2 = 2.0 * d - err
-    m3 = 2.0 * np.sqrt(decay) * d0 - err
-    margins = {
-        "squared_distance_decay": float(m1.min()),
-        "limit_vs_distance": float(m2.min()),
-        "trajectory_bound": float(m3.min()),
-    }
-    worst = min(margins.values())
-    return BoundCheck("exponential rate under linear regularity", int(t.size),
-                      worst, bool(worst >= -tol), tol, margins)
+    return _bound_check("exponential rate under linear regularity", tol,
+                        squared_distance_decay=decay * d0 ** 2 - d ** 2,
+                        limit_vs_distance=2.0 * d - err,
+                        trajectory_bound=2.0 * np.sqrt(decay) * d0 - err)
 
 
 def hoelder_bound_constant(kappa: float, gamma: float, lam_star: float) -> float:
@@ -260,27 +252,15 @@ def check_hoelder_rate_bound(
     schedule = _schedule(traj, schedule)
     if not 0.0 < gamma < 1.0:
         raise UsageError("gamma must lie in (0,1)")
-    lam_star = schedule.inf_value
-    if not lam_star > 0.0:
-        raise UsageError("the power-law bound needs inf lambda > 0")
-    d = _dist_series(traj)
-    xbar = _resolve_limit(traj, x_bar)
-    t = traj.times()
+    lam_star, t, d, err = _bound_inputs(traj, schedule, x_bar, "power-law")
     sel = t >= t_min
     if not np.any(sel):
         raise UsageError(f"no samples with t >= {t_min}")
     m0 = hoelder_bound_constant(kappa, gamma, lam_star)
-    rho = gamma / (2.0 * (1.0 - gamma))
-    bound = m0 * t[sel] ** (-rho)
-    err = np.linalg.norm(traj.states()[sel] - xbar[None, :], axis=1)
-    margins = {
-        "distance_bound": float((bound - d[sel]).min()),
-        "trajectory_bound": float((2.0 * bound - err).min()),
-    }
-    worst = min(margins.values())
-    return BoundCheck("power-law rate under Hoelder regularity",
-                      int(np.count_nonzero(sel)), worst, bool(worst >= -tol),
-                      tol, margins)
+    bound = m0 * t[sel] ** (-gamma / (2.0 * (1.0 - gamma)))
+    return _bound_check("power-law rate under Hoelder regularity", tol,
+                        distance_bound=bound - d[sel],
+                        trajectory_bound=2.0 * bound - err[sel])
 
 
 # ---------------------------------------------------------------------------

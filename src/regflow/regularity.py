@@ -13,7 +13,7 @@ drive the rate proofs, reporting the worst slack (RHS - LHS) over the data.
 Operators and oracles are evaluated on all samples as one ``(n, d)`` batch.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -33,6 +33,12 @@ DEGENERACY_FLOOR = 1e-12
 MAX_DT_FOR_DERIVATIVES = 0.1
 
 
+def record_dict(record, **overrides) -> dict:
+    """A result record's fields as a JSON-ready dict, with ``overrides`` put in
+    for the fields that need converting and for derived entries."""
+    return {**{f.name: getattr(record, f.name) for f in fields(record)}, **overrides}
+
+
 @dataclass(frozen=True)
 class Region:
     """Closed ball B(center, radius) on which constants are estimated."""
@@ -50,7 +56,7 @@ class Region:
         return self.center.shape[0]
 
     def to_dict(self) -> dict:
-        return {"center": [float(v) for v in self.center], "radius": float(self.radius)}
+        return record_dict(self, center=self.center.tolist(), radius=float(self.radius))
 
 
 def sample_region(region: Region, n: int, seed: int) -> np.ndarray:
@@ -81,11 +87,7 @@ class RegularityEstimate:
     excluded: int
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "kappa": self.kappa, "gamma": self.gamma,
-            "region": self.region.to_dict(), "n_samples": self.n_samples,
-            "max_violation": self.max_violation, "excluded": self.excluded,
-        }
+        return record_dict(self, region=self.region.to_dict())
 
 
 @dataclass(frozen=True)
@@ -100,11 +102,7 @@ class CollectionEstimate:
     excluded: int
 
     def to_dict(self) -> dict:
-        return {
-            "tau": self.tau, "theta": self.theta, "region": self.region.to_dict(),
-            "n_samples": self.n_samples, "max_violation": self.max_violation,
-            "excluded": self.excluded,
-        }
+        return record_dict(self, region=self.region.to_dict())
 
 
 @dataclass(frozen=True)
@@ -123,12 +121,7 @@ class InequalityReport:
     excluded: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "n_points": self.n_points,
-            "worst_slack": self.worst_slack, "tolerance": self.tolerance,
-            "passed": self.passed, "excluded": self.excluded,
-            "evaluated_at": "sample times",
-        }
+        return record_dict(self, evaluated_at="sample times")
 
 
 def _report(name: str, slacks, tolerance: float, excluded: int = 0) -> InequalityReport:

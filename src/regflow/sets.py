@@ -156,9 +156,18 @@ class Ball(PrimitiveSet):
 
     def _project(self, x):
         d = x - self.center
-        nrm = np.linalg.norm(d, axis=-1)[..., None]
-        scale = self.radius / np.maximum(nrm, self.radius)
-        return np.where(nrm <= self.radius, x, self.center + scale * d)
+        with np.errstate(over="ignore", under="ignore"):
+            nrm = row_norm(d[..., None, :])  # shaped (..., 1)
+            scale = self.radius / np.maximum(nrm, self.radius)
+            out = np.where(nrm <= self.radius, x, self.center + scale * d)
+            huge = np.isinf(nrm[..., 0])
+            if huge.any():
+                # ||d||^2 overflowed on a finite d: take the direction of d scaled
+                # by a power of two that brings its largest entry into [0.5, 1)
+                big = d[huge]
+                big = big * np.ldexp(1.0, -np.frexp(np.abs(big).max(axis=-1))[1])[:, None]
+                out[huge] = self.center + self.radius / row_norm(big)[:, None] * big
+        return out
 
 
 def is_affine(s: PrimitiveSet) -> bool:

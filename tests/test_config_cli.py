@@ -14,7 +14,7 @@ import regflow.cli
 from regflow.cli import main
 from regflow.config import build_scenario, load_config
 from regflow.flow import MAX_STEPS, integrate_flow, km_iterate
-from regflow.scenarios import BUNDLED, certificate_operators, scenario_config
+from regflow.scenarios import BUNDLED, CONTINUOUS, certificate_operators, scenario_config
 
 
 def minimal_config(**overrides):
@@ -337,6 +337,27 @@ class TestCLIRun:
         report = json.loads((tmp_path / "out" / "mini_report.json").read_text())
         assert report["partial"] is True and "gamma=0.99999" in report["error"]
 
+    @pytest.mark.parametrize("name", ["tangent_ball_line", "two_lines_60deg"])
+    def test_rate_bound_limit_point_without_limit_estimate(self, tmp_path, capsys, name):
+        # stopped at t = 2 the final residual is above 1e-9, so there is no limit
+        # estimate: a point oracle's point stands in, an intersection has none
+        cfg = scenario_config(name)
+        cfg["integrator"]["t_end"] = 2.0
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--out-dir", str(out)])
+        written = sorted(p.name.removeprefix(f"{name}_") for p in out.iterdir())
+        if name == "tangent_ball_line":
+            assert code == 0
+            assert written == ["ratefit.json", "regularity.json", "report.json",
+                               "trajectory.csv"]
+            assert "Hoelder regularity [trajectory_bound]" in capsys.readouterr().out
+        else:
+            assert code == 2
+            assert written == ["ratefit.json", "regularity.json", "trajectory.csv"]
+            assert "trajectory has no limit_estimate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("normal", [[1e200, 0.0], [1e-200, 0.0], [1e155, 1e155]])
     def test_normal_outside_float_range_exits_2(self, tmp_path, capsys, normal):
         # with ||a||^2 = inf, x0 = [5, 1] passed as a fixed point outside the set
@@ -563,6 +584,21 @@ class TestVerifyCLI:
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  unit-step Euler / relaxed iteration bitwise agreement" in out
+
+    def test_run_and_verify_print_the_same_trajectory_checks(self, tmp_path, capsys):
+        # run prints "PASS  <scenario>: <check>  worst_slack=..." and verify
+        # "PASS  <check> [<scenario>]  worst_slack=..." for the same computation
+        assert main(["verify", "--seed", "0"]) == 0
+        verify_lines = capsys.readouterr().out.splitlines()
+        for name in CONTINUOUS:
+            assert main(["run", name, "--out-dir", str(tmp_path)]) == 0
+            run_lines = [line for line in capsys.readouterr().out.splitlines()
+                         if "  worst_slack=" in line]
+            assert len(run_lines) == 2
+            as_verify = [line.replace(f"  {name}: ", "  ", 1).replace(
+                "  worst_slack=", f" [{name}]  worst_slack=") for line in run_lines]
+            assert as_verify == [line for line in verify_lines
+                                 if f" [{name}]  worst_slack=" in line]
 
 
 def test_every_bundled_scenario_names_its_claim():

@@ -39,6 +39,31 @@ class TestProjectExamples:
         ball = rf.Ball([0.0, 1.0], 1.0)
         np.testing.assert_allclose(rf.project(ball, [0.0, 3.0]), [0.0, 2.0])
 
+    def test_ball_huge_point_projects_to_the_sphere(self):
+        # ||x - c||^2 overflows although x is finite; was the centre and a RuntimeWarning
+        ball = rf.Ball([0.0, 0.0], 1.0)
+        with np.errstate(all="raise"):
+            p = ball.project([1e200, 1e200])
+        np.testing.assert_allclose(p, [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-15)
+
+    def test_ball_huge_row_beside_ordinary_rows(self):
+        ball = rf.Ball([0.5, -1.0], 2.0)
+        rows = np.array([[3.0, 4.0], [1e200, -1e200], [0.1, 0.2], [-7.0, 1e-3],
+                         [1e300, 1.0]])
+        with np.errstate(all="raise"):
+            batch = ball.project(rows)
+            singles = [ball.project(r) for r in rows]
+        for row, single in zip(batch, singles):
+            np.testing.assert_array_equal(row, single)
+        np.testing.assert_allclose(batch[1], [0.5 + np.sqrt(2.0), -1.0 - np.sqrt(2.0)],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(batch[4], [2.5, -1.0], rtol=1e-15)
+        with np.errstate(over="ignore", under="ignore"):
+            ordinary = [ball.center + 2.0 * (r - ball.center) / np.linalg.norm(r - ball.center)
+                        for r in rows[[0, 3]]]
+        np.testing.assert_array_equal(batch[[0, 3]], ordinary)
+        np.testing.assert_array_equal(batch[2], rows[2])
+
     def test_box_clip(self):
         box = rf.Box([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(rf.project(box, [2.0, -1.0]), [1.0, 0.0])
