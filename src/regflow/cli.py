@@ -223,7 +223,8 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
         if not rep.passed:
             failures.append(f"{rep.name} (worst_slack={rep.worst_slack:.3e})")
 
-    corpus = certificate_operators()
+    continuous = {sname: load_scenario(sname) for sname in CONTINUOUS}
+    corpus = certificate_operators(continuous)
     if corrupt:
         corpus = [(_expansive_control(), None)] + corpus
     for op, oracle in corpus:
@@ -245,7 +246,6 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
 
     # lemma sweeps over the bundled SQNE families (every member 1-SQNE); the
     # 90-degree axis pair is in no scenario
-    continuous = {sname: load_scenario(sname) for sname in CONTINUOUS}
     pts = sample_region(Region(np.zeros(2), 10.0), 500, seed)
     l1, l2 = Hyperplane([0.0, 1.0], 0.0), Hyperplane([1.0, 0.0], 0.0)
     boxes = continuous["cyclic_three_boxes"].oracle.sets

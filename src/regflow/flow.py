@@ -357,9 +357,10 @@ def _march(op: Operator, x0: np.ndarray, times: np.ndarray, schedule: LambdaSche
     explicit Euler for the flow, and at unit steps the relaxed iteration itself."""
     dts = np.diff(times)
     relaxations = dts * schedule(times[:-1])
+    cuts = set(schedule.breakpoints(float(times[-1]))) if method == "rk4" else set()
 
-    def field_at(t, x):
-        return schedule(t) * (op(x) - x)
+    def field_at(t, x, lam=schedule):
+        return lam(t) * (op(x) - x)
 
     points = [(float(times[0]), x0)]
     x = x0
@@ -369,7 +370,7 @@ def _march(op: Operator, x0: np.ndarray, times: np.ndarray, schedule: LambdaSche
             k1 = field_at(t, x)
             k2 = field_at(t + dt / 2, x + (dt / 2) * k1)
             k3 = field_at(t + dt / 2, x + (dt / 2) * k2)
-            k4 = field_at(t + dt, x + dt * k3)
+            k4 = field_at(t + dt, x + dt * k3, _segment_lambda(schedule, times[k], cuts))
             x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             x = _relaxed_step(x, lam, op(x))
@@ -427,10 +428,18 @@ def _step_grid(schedule: LambdaSchedule, t_end: float, h: float) -> np.ndarray:
     return np.concatenate(grid)
 
 
-def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
-    def field(t, x):
-        return schedule(t) * (op(x) - x)
+def _segment_lambda(schedule: LambdaSchedule, b: float, cuts) -> LambdaSchedule:
+    """lambda on a segment [a, b), read up to and including b: at an interior
+    breakpoint b (one of ``cuts``) that is the ending piece's value, not the next
+    piece's. A segment that ends anywhere else keeps ``schedule`` itself."""
+    if b not in cuts:
+        return schedule
+    before = float(np.nextafter(b, -np.inf))
+    return lambda t: schedule(min(t, before))
 
+
+def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
+    cuts = set(schedule.breakpoints(config.t_end))
     want = None if config.sample_times is None else np.asarray(config.sample_times)
 
     points = [(0.0, x0)]
@@ -441,8 +450,10 @@ def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
         if want is not None:
             inside = want[(want > a + 1e-15) & (want < b - 1e-15)]
             t_eval = np.unique(np.concatenate([inside, [b]]))
-        sol = solve_ivp(field, (a, b), x, method="RK45", rtol=config.rel_tol,
-                        atol=config.abs_tol, t_eval=t_eval, dense_output=False)
+        lam = _segment_lambda(schedule, b, cuts)
+        sol = solve_ivp(lambda t, y: lam(t) * (op(y) - y), (a, b), x, method="RK45",
+                        rtol=config.rel_tol, atol=config.abs_tol, t_eval=t_eval,
+                        dense_output=False)
         nfev += sol.nfev
         if not sol.success:
             partial = _finalize(op, schedule, oracle, points, "continuous",

@@ -14,17 +14,9 @@ Five instances, each in a continuous and a discrete (``*_km``) variant:
 import json
 from importlib import resources
 
-from .config import Scenario, build_scenario
-from .fixset import FixSetOracle, Intersection
-from .operators import (
-    Indicator,
-    Operator,
-    compose,
-    douglas_rachford,
-    forward_backward,
-    projector,
-)
-from .sets import Ball, Box, HalfSpace, Hyperplane
+from .config import Scenario, build_scenario, build_set
+from .fixset import FixSetOracle
+from .operators import Operator, projector
 
 BUNDLED = (
     "two_lines_60deg",
@@ -65,32 +57,22 @@ def resolve_config_source(spec: str) -> dict:
     return load_config(spec)
 
 
-def certificate_operators() -> list[tuple[Operator, FixSetOracle | None]]:
-    """The operator corpus whose nonexpansiveness / averagedness / SQNE
-    certificates `verify` samples: the bundled primitives plus their composites."""
-    line1 = Hyperplane([0.0, 1.0], 0.0)
-    line2 = Hyperplane([-0.8660254037844386, 0.5], 0.0)
-    ball = Ball([0.0, 1.0], 1.0)
-    h1 = HalfSpace([1.0, 0.0], 0.0)
-    h2 = HalfSpace([0.0, 1.0], 0.0)
-    b1 = Box([0.0, 0.0], [2.0, 2.0])
-    b2 = Box([1.0, 0.5], [3.0, 3.0])
-    b3 = Box([0.5, 1.0], [2.5, 2.5])
-
-    fb = forward_backward(
-        Indicator(Box([0.0, 0.0], [1.0, 1.0])),
-        [[2.0, 0.5], [0.5, 1.0]], [3.0, -0.5], 2.21, 0.4,
-    )
-
-    ops: list[tuple[Operator, FixSetOracle | None]] = []
-    for set_ in (line1, line2, ball, h1, h2, b1, b2, b3):
-        p = projector(set_)
-        ops.append((p, p.fix_oracle))
-    ops.append((compose([projector(line1), projector(line2)]),
-                Intersection([line1, line2])))
-    ops.append((compose([projector(ball), projector(line1)]), None))
-    ops.append((douglas_rachford(h1, h2), Intersection([h1, h2])))
-    ops.append((fb, None))
-    ops.append((compose([projector(b1), projector(b2), projector(b3)]),
-                Intersection([b1, b2, b3])))
-    return ops
+def certificate_operators(continuous: dict[str, Scenario] | None = None,
+                          ) -> list[tuple[Operator, FixSetOracle | None]]:
+    """The corpus whose nonexpansiveness / averagedness / SQNE certificates
+    `verify` samples: projectors onto the continuous scenarios' sets, then the
+    scenarios' own operators with their oracles. ``continuous`` maps each name
+    in CONTINUOUS to its scenario and is loaded here when omitted."""
+    if continuous is None:
+        continuous = {name: load_scenario(name) for name in CONTINUOUS}
+    lines, tangent, dr, fb, boxes = (continuous[name] for name in (
+        "two_lines_60deg", "tangent_ball_line", "dr_two_halfspaces",
+        "box_qp_forward_backward", "cyclic_three_boxes"))
+    # tangent_ball_line's oracle is a point, so its ball is read from the config
+    ball = build_set(scenario_config("tangent_ball_line")["operator"]["children"][0]["set"],
+                     "operator.children[0].set", tangent.dim)
+    sets = [*lines.oracle.sets, ball, *dr.oracle.sets, *boxes.oracle.sets]
+    # forward-backward stays unpaired: its point oracle would add an SQNE line
+    return ([(p, p.fix_oracle) for p in map(projector, sets)]
+            + [(sc.operator, sc.oracle) for sc in (lines, tangent, dr)]
+            + [(fb.operator, None), (boxes.operator, boxes.oracle)])

@@ -155,16 +155,19 @@ class Ball(PrimitiveSet):
     project = PrimitiveSet.project
 
     def _project(self, x):
-        d = x - self.center
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            d = x - self.center
             nrm = row_norm(d[..., None, :])  # shaped (..., 1)
             scale = self.radius / np.maximum(nrm, self.radius)
             out = np.where(nrm <= self.radius, x, self.center + scale * d)
             huge = np.isinf(nrm[..., 0])
             if huge.any():
-                # ||d||^2 overflowed on a finite d: take the direction of d scaled
-                # by a power of two that brings its largest entry into [0.5, 1)
+                # ||d||^2 overflowed on finite inputs: take the direction of d, or of
+                # x/2 - center/2 where d itself overflowed, scaled by a power of two
+                # that brings its largest entry into [0.5, 1)
                 big = d[huge]
+                over = ~np.isfinite(big).all(axis=-1)
+                big[over] = x[huge][over] / 2 - self.center / 2
                 big = big * np.ldexp(1.0, -np.frexp(np.abs(big).max(axis=-1))[1])[:, None]
                 out[huge] = self.center + self.radius / row_norm(big)[:, None] * big
         return out

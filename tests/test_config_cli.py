@@ -549,6 +549,32 @@ class TestVerifyCLI:
         for op, oracle in ops:
             assert op.dim == 2
 
+    def test_certificate_corpus_is_the_continuous_scenarios(self):
+        from regflow.scenarios import load_scenario
+
+        continuous = {name: load_scenario(name) for name in CONTINUOUS}
+        ops = certificate_operators(continuous)
+        order = ["two_lines_60deg", "tangent_ball_line", "dr_two_halfspaces",
+                 "box_qp_forward_backward", "cyclic_three_boxes"]
+        assert len(ops) == 8 + len(order)
+        for (op, oracle), name in zip(ops[8:], order):
+            sc = continuous[name]
+            assert op is sc.operator
+            assert oracle is (None if name == "box_qp_forward_backward" else sc.oracle)
+        sets = [s for name in ("two_lines_60deg", "dr_two_halfspaces", "cyclic_three_boxes")
+                for s in continuous[name].oracle.sets]
+        assert all(isinstance(continuous[name].oracle, rf.Intersection)
+                   for name in ("two_lines_60deg", "dr_two_halfspaces", "cyclic_three_boxes"))
+        projected = [oracle.set for _, oracle in ops[:8]]
+        ball = projected.pop(2)
+        assert all(p is s for p, s in zip(projected, sets, strict=True))
+        assert isinstance(ball, rf.Ball)
+        assert (ball.center.tolist(), ball.radius) == ([0.0, 1.0], 1.0)
+        assert all(op.label == f"P[{oracle.set.describe()}]" for op, oracle in ops[:8])
+        default = certificate_operators()
+        assert [op.label for op, _ in default] == [op.label for op, _ in ops]
+        assert [type(o) for _, o in default] == [type(o) for _, o in ops]
+
     def test_default_seed_passes_and_verdicts_seed_invariant(self, capsys):
         verdict_lines = []
         for seed in range(5):

@@ -237,6 +237,19 @@ class TestFixedStepMarch:
         assert short.times().tolist() == [0.0, 0.1, 0.2, b]
         assert np.all(np.diff(short.states()[:, 0]) < 0.0)
 
+    @pytest.mark.parametrize("method,h", [("rk45", None), ("rk4", 0.1)])
+    def test_stages_at_a_breakpoint_read_the_ending_piece(self, tangent_pair, method, h):
+        # every stage of [0, 1) reads lambda = 0.5, also at t = 1, so the state at
+        # the breakpoint is the state of a run that stops there
+        op = tangent_pair["op"]
+        sched = rf.PiecewiseConstant([0.0, 1.0], [0.5, 1.0])
+        traj = rf.integrate_flow(op, [1.2, 0.6], sched, rf.IntegratorConfig(method, 2.0, h=h))
+        short = rf.integrate_flow(op, [1.2, 0.6], rf.Constant(0.5),
+                                  rf.IntegratorConfig(method, 1.0, h=h))
+        at_one = np.flatnonzero(traj.times() == 1.0)
+        assert at_one.size == 1
+        np.testing.assert_array_equal(traj.states()[at_one[0]], short.states()[-1])
+
     @pytest.mark.parametrize("method", ["euler", "rk4"])
     def test_stride_records_every_stride_th_step_and_the_last(self, two_lines, method):
         def run(stride):

@@ -64,6 +64,30 @@ class TestProjectExamples:
         np.testing.assert_array_equal(batch[[0, 3]], ordinary)
         np.testing.assert_array_equal(batch[2], rows[2])
 
+    def test_ball_projects_when_the_difference_itself_overflows(self):
+        # x - center overflows on finite inputs; was [nan, 0] and a RuntimeWarning
+        ball = rf.Ball([-1e308, 0.0], 1.0)
+        with np.errstate(all="raise"):
+            p = ball.project([1e308, 0.0])
+        np.testing.assert_array_equal(p, [-1e308 + 1.0, 0.0])
+
+    def test_ball_overflowing_difference_beside_ordinary_rows(self):
+        ball = rf.Ball([-1e308, 0.0], 1.0)
+        rows = np.array([[1e308, 1e308], [-1e308, 0.5], [-1e308 + 3.0, 4.0],
+                         [1e308, 0.0], [-1e308, -3.0]])
+        with np.errstate(all="raise"):
+            batch = ball.project(rows)
+            singles = [ball.project(r) for r in rows]
+        for row, single in zip(batch, singles):
+            np.testing.assert_array_equal(row, single)
+        # the direction of x - center is (2, 1) and (1, 0)
+        np.testing.assert_allclose(batch[0], [-1e308, np.sqrt(0.2)], rtol=1e-15)
+        np.testing.assert_array_equal(batch[3], [-1e308, 0.0])
+        np.testing.assert_array_equal(batch[1], rows[1])
+        d = rows[[2, 4]] - ball.center
+        ordinary = ball.center + d / np.linalg.norm(d, axis=1)[:, None]
+        np.testing.assert_array_equal(batch[[2, 4]], ordinary)
+
     def test_box_clip(self):
         box = rf.Box([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(rf.project(box, [2.0, -1.0]), [1.0, 0.0])
