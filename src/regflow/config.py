@@ -306,10 +306,9 @@ def build_integrator(node, path: str) -> IntegratorConfig:
         n = int(round(t_end / dt))
         if abs(n * dt - t_end) > 1e-9:
             raise ConfigError(f"{path}.sample_dt", "must divide t_end evenly")
-        kwargs["sample_times"] = tuple(np.linspace(0.0, t_end, n + 1))
+        kwargs["sample_times"] = np.linspace(0.0, t_end, n + 1)
     if "sample_times" in node:
-        kwargs["sample_times"] = tuple(
-            _vector(node["sample_times"], f"{path}.sample_times"))
+        kwargs["sample_times"] = _vector(node["sample_times"], f"{path}.sample_times")
     with _wrap(path):
         return IntegratorConfig(method=method, t_end=t_end, **kwargs)
 

@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, UsageError
-from .sets import Hyperplane, PrimitiveSet, is_affine, matvec, row_norm
+from .sets import Hyperplane, PrimitiveSet, gap, is_affine, matvec, row_norm
 from .validation import as_point, as_vector
 
 DEFAULT_TOL = 1e-12
@@ -164,7 +164,7 @@ class ExactSet(FixSetOracle):
     def distance_to(self, x) -> DistanceResult:
         x = as_point(x, self.dim)
         w = self.set._project(x)
-        return DistanceResult(row_norm(x - w), w, self.set.distance(w))
+        return DistanceResult(row_norm(gap(x, w)), w, self.set.distance(w))
 
 
 class SinglePoint(FixSetOracle):

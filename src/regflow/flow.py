@@ -5,6 +5,8 @@ integrators approximating the strong global solution) and a discrete mode (the
 relaxed iteration x_{k+1} = (1-lam_k) x_k + lam_k T(x_k)). All fixed-step methods
 run one marcher over a time grid: an Euler step of size h from t_k is the relaxed
 step with relaxation h lambda(t_k), so unit-step Euler is that iteration, bit for bit.
+The adaptive method is this module's own Dormand-Prince 5(4) loop, ``solve_ivp``,
+which also solves the scalar comparison-lemma ODEs in ``rates``.
 
 The vector field is globally Lipschitz (T nonexpansive, lambda <= 1), so no
 stability guard beyond standard adaptive control is needed.
@@ -12,6 +14,7 @@ stability guard beyond standard adaptive control is needed.
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -27,18 +30,11 @@ LIMIT_RESIDUAL_TOL = 1e-9
 
 _UNIT_GRID_TOL = 1e-9
 
-# Work budget: the most steps a fixed-step or unit-step run may take, and the
-# most sample times a config may ask the adaptive method to record. Configs
-# also bound the dimension, estimator samples and Dykstra cycles by it.
+# Work budget: the most steps a fixed-step or unit-step run may take, the most
+# accepted steps one adaptive solve may take, and the most sample times a config
+# may ask the adaptive method to record. Configs also bound the dimension,
+# estimator samples and Dykstra cycles by it.
 MAX_STEPS = 1_000_000
-
-
-def solve_ivp(*args, **kwargs):
-    """The ODE solver, imported on the first call: loading its package takes
-    most of the start-up time, which runs that solve no ODE never pay."""
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +143,9 @@ _METHODS = ("euler_unit", "euler", "rk4", "rk45")
 class IntegratorConfig:
     """How to march the flow: method, horizon, and which times to record.
 
-    ``sample_times`` (adaptive method only) pins the recorded grid; otherwise
-    every ``sample_stride``-th step is recorded. Endpoints are always kept.
+    ``sample_times`` (adaptive method only) pins the recorded grid, kept as one
+    read-only float array; otherwise every ``sample_stride``-th step is recorded.
+    Endpoints are always kept.
     """
 
     method: str
@@ -157,7 +154,7 @@ class IntegratorConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     sample_stride: int = 1
-    sample_times: Optional[tuple[float, ...]] = None
+    sample_times: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.method not in _METHODS:
@@ -177,14 +174,15 @@ class IntegratorConfig:
         if self.sample_stride < 1:
             raise UsageError("sample_stride must be a positive integer")
         if self.sample_times is not None:
-            ts = np.asarray(self.sample_times, dtype=float)
+            ts = np.array(self.sample_times, dtype=float)
             if not np.all((ts >= 0.0) & (ts <= self.t_end + 1e-12)):
                 raise UsageError("sample_times must lie in [0, t_end]")
             if np.any(np.diff(ts) <= 0.0):
                 raise UsageError("sample_times must be strictly increasing")
             if self.method != "rk45":
                 raise UsageError("explicit sample_times require the rk45 method")
-            object.__setattr__(self, "sample_times", tuple(ts.tolist()))
+            ts.flags.writeable = False
+            object.__setattr__(self, "sample_times", ts)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +406,146 @@ def km_iterate(op: Operator, x0, lambdas, K: int,
 
 
 # ---------------------------------------------------------------------------
+# Adaptive Runge-Kutta: the Dormand-Prince 5(4) pair
+# ---------------------------------------------------------------------------
+
+# Dormand & Prince (1980) with Shampine's (1986) quartic dense output; see Hairer,
+# Norsett & Wanner, Solving ODEs I, II.4-II.6. The coefficients, the step control
+# and every array operation are those of scipy's RK45, so t, y and nfev match it
+# bit for bit.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+_MIN_RTOL = 100 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class OdeResult:
+    """``y[:, i]`` is the state at ``t[i]``; ``status`` is 0 when the solve
+    reached the end of its interval and -1 when it failed, ``message`` why."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    status: int
+    message: str
+
+    @property
+    def success(self) -> bool:
+        return self.status >= 0
+
+
+def _rms(v: np.ndarray):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
+    """Integrate y' = fun(t, y) from y(t0) = y0 over ``t_span = (t0, tf)``, t0 < tf;
+    ``fun`` returns a float array shaped like y.
+
+    Records every accepted step, or with ``t_eval`` (increasing, inside
+    ``t_span``) the dense output at those times only. A step below ten ulps of t,
+    or more than MAX_STEPS accepted steps, fails the solve (status -1).
+    """
+    t, tf = map(float, t_span)
+    y = np.asarray(y0, dtype=float)
+    if rtol < _MIN_RTOL:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {_MIN_RTOL})`.", stacklevel=2)
+        rtol = _MIN_RTOL
+    nfev = 0
+
+    def rhs(t, y):
+        nonlocal nfev
+        nfev += 1
+        return fun(t, y)
+
+    def result(status, message):
+        if t_eval is None:
+            return OdeResult(np.array(ts), np.vstack(ys).T, nfev, status, message)
+        if not ts:
+            return OdeResult(np.empty(0), np.empty((y.size, 0)), nfev, status, message)
+        return OdeResult(np.hstack(ts), np.hstack(ys), nfev, status, message)
+
+    # the initial step (Hairer, Norsett & Wanner, II.4)
+    f = rhs(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tf - t)
+    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h_abs = min(100 * h0, max(1e-6, h0 * 1e-3), tf - t)
+    else:
+        h_abs = min(100 * h0, (0.01 / max(d1, d2)) ** (1 / 5), tf - t)
+
+    if t_eval is None:
+        ts, ys = [t], [y]
+    else:
+        t_eval, ts, ys, i_eval = np.asarray(t_eval), [], [], 0
+    K = np.empty((7, y.size))
+    for _ in range(MAX_STEPS):
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return result(-1, "Required step size is less than spacing between "
+                                  "numbers.")
+            t_new = min(t + h_abs, tf)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = rhs(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _E) * h / scale)
+            if err < 1:  # accept; grow the step by at most 10, or 1 after a reject
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+
+        if t_eval is None:
+            ts.append(t_new)
+            ys.append(y_new)
+        else:  # the quartic interpolant at the wanted times in (t, t_new]
+            j = np.searchsorted(t_eval, t_new, side="right")
+            if j > i_eval:
+                x = (t_eval[i_eval:j] - t) / h
+                p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+                ts.append(t_eval[i_eval:j])
+                ys.append(h * np.dot(K.T.dot(_P), p) + y[:, None])
+                i_eval = j
+        t, y, f = t_new, y_new, f_new
+        if t >= tf:
+            return result(0, "The solver successfully reached the end of the "
+                             "integration interval.")
+    return result(-1, f"RK45 did not reach t = {tf:g} within {MAX_STEPS} accepted "
+                      "steps, the work budget")
+
+
+# ---------------------------------------------------------------------------
 # Continuous integration
 # ---------------------------------------------------------------------------
 
@@ -440,7 +578,7 @@ def _segment_lambda(schedule: LambdaSchedule, b: float, cuts) -> LambdaSchedule:
 
 def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
     cuts = set(schedule.breakpoints(config.t_end))
-    want = None if config.sample_times is None else np.asarray(config.sample_times)
+    want = config.sample_times
 
     points = [(0.0, x0)]
     x = x0
@@ -451,9 +589,8 @@ def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
             inside = want[(want > a + 1e-15) & (want < b - 1e-15)]
             t_eval = np.unique(np.concatenate([inside, [b]]))
         lam = _segment_lambda(schedule, b, cuts)
-        sol = solve_ivp(lambda t, y: lam(t) * (op(y) - y), (a, b), x, method="RK45",
-                        rtol=config.rel_tol, atol=config.abs_tol, t_eval=t_eval,
-                        dense_output=False)
+        sol = solve_ivp(lambda t, y: lam(t) * (op(y) - y), (a, b), x,
+                        rtol=config.rel_tol, atol=config.abs_tol, t_eval=t_eval)
         nfev += sol.nfev
         if not sol.success:
             partial = _finalize(op, schedule, oracle, points, "continuous",

@@ -329,8 +329,8 @@ def integrate_scalar_decay(
         return -alpha * np.maximum(u, 0.0) ** exponent
 
     t_eval = np.linspace(0.0, t_end, n_samples)
-    sol = solve_ivp(rhs, (0.0, t_end), u0, method="RK45", rtol=rel_tol / shrink,
-                    atol=abs_tol / shrink, t_eval=t_eval)
+    sol = solve_ivp(rhs, (0.0, t_end), u0, rtol=rel_tol / shrink, atol=abs_tol / shrink,
+                    t_eval=t_eval)
     if not sol.success:
         raise FitError(f"scalar integration failed: {sol.message}")
     return sol.t, np.maximum(sol.y, 0.0).reshape(shape + sol.t.shape)

@@ -22,6 +22,12 @@ def row_norm(v: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
+@np.errstate(over="ignore")  # cheaper per call than a with block
+def gap(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x - w``; inf with no warning where the difference leaves the float range."""
+    return x - w
+
+
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``m @ x`` for each row of ``x``."""
     return np.add.reduce(x[..., None, :] * m, axis=-1)
@@ -44,8 +50,10 @@ class PrimitiveSet:
         raise NotImplementedError
 
     def distance(self, x):
-        """Euclidean distance from ``x`` to the set (``project`` validates ``x``)."""
-        return row_norm(np.asarray(x, dtype=float) - self.project(x))
+        """Euclidean distance from ``x`` to the set (``project`` validates ``x``);
+        inf when it exceeds the float range."""
+        w = self.project(x)
+        return row_norm(gap(np.asarray(x, dtype=float), w))
 
     def contains(self, x, tol: float = 1e-12):
         return self.distance(x) <= tol

@@ -801,6 +801,4 @@ def _run_mutated(root, cfg, data):
 
 
 def test_mutated_config_keeps_exit_contract(tmp_path):
-    import scipy.integrate  # noqa: F401 -- else the first rk45 example pays the import
-
     _run_mutated(tmp_path)

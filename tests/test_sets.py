@@ -88,6 +88,15 @@ class TestProjectExamples:
         ordinary = ball.center + d / np.linalg.norm(d, axis=1)[:, None]
         np.testing.assert_array_equal(batch[[2, 4]], ordinary)
 
+    def test_distance_beyond_the_float_range_is_inf_without_warning(self):
+        # x - P(x) overflows on finite inputs; tier-1 turns a RuntimeWarning into an error
+        ball = rf.Ball([-1e308, 0.0], 1.0)
+        assert ball.distance([1e308, 0.0]) == np.inf
+        np.testing.assert_array_equal(ball.distance([[1e308, 0.0], [-1e308, 3.0]]),
+                                      [np.inf, 2.0])
+        result = rf.ExactSet(ball).distance_to([1e308, 0.0])
+        assert result.distance == np.inf and result.certified_tol == 0.0
+
     def test_box_clip(self):
         box = rf.Box([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(rf.project(box, [2.0, -1.0]), [1.0, 0.0])

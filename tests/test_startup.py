@@ -1,4 +1,4 @@
-"""Cold start: scipy is imported on the first ODE solve, not with regflow.
+"""Cold start: no regflow command loads scipy, the adaptive (rk45) solve included.
 
 pytest itself has loaded scipy by now, so the check runs in a fresh
 interpreter that imports regflow from this checkout's ``src``.
@@ -23,24 +23,29 @@ d = Path(sys.argv[1])
 steps = []
 import regflow
 from regflow.cli import main
+from regflow.scenarios import BUNDLED
 steps.append(["import regflow", 0, scipy_modules()])
 for argv in (["reg", "two_lines_60deg", "--samples", "100", "--out-dir", str(d)],
              ["run", "two_lines_60deg_km", "--out-dir", str(d)],
              ["rate", str(d / "two_lines_60deg_km_trajectory.csv")],
-             ["run", "two_lines_60deg", "--out-dir", str(d)]):
+             ["run", "two_lines_60deg", "--out-dir", str(d)],
+             ["verify"],
+             *(["run", name, "--out-dir", str(d)] for name in BUNDLED)):
     steps.append([" ".join(argv[:2]), main(argv), scipy_modules()])
 (d / "steps.json").write_text(json.dumps(steps))
 """
 
 
-def test_scipy_loads_on_first_solve(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", CHILD, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads((tmp_path / "steps.json").read_text())
-    *cold, (name, code, loaded) = steps
-    for step, step_code, step_loaded in cold:  # reg, KM run and rate solve no ODE
-        assert step_code == 0 and step_loaded == [], step
-    assert name == "run two_lines_60deg"  # a continuous (rk45) run
-    assert code == 0 and "scipy.integrate" in loaded
+    first = steps[:6]  # up to verify: reg, KM run, rate, an rk45 run and verify
+    assert [(name, code) for name, code, _ in first] == [
+        ("import regflow", 0), ("reg two_lines_60deg", 0), ("run two_lines_60deg_km", 0),
+        ("rate " + str(tmp_path / "two_lines_60deg_km_trajectory.csv"), 0),
+        ("run two_lines_60deg", 0), ("verify", 0)]
+    for step, _, step_loaded in steps:
+        assert step_loaded == [], step
