@@ -261,13 +261,15 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
         record(check_combination_bound(ops, weights, rhos, pts, oracle))
         record(check_composition_bound(ops, rhos, pts, oracle))
 
-    # trajectory inequality checks over the continuous corpus
+    # trajectory inequality checks over the continuous corpus, one trajectory
+    # alive at a time
     for sname, sc in continuous.items():
         traj = integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator)
         x_star = sc.oracle.distance_to(sc.x0).witness
         for check in _TRAJECTORY_CHECKS.values():
             rep = check(sc, traj, x_star)
             record(dataclasses.replace(rep, name=f"{rep.name} [{sname}]"))
+        del traj
 
     # discrete/continuous agreement at unit steps
     for sname in DISCRETE:

@@ -97,9 +97,10 @@ def dykstra_project(
     correction terms below are what make the limit the nearest point, which is
     what the distance function needs. A row stops when the cycle-to-cycle
     movement of its iterate drops below ``tol`` and then its worst constraint
-    violation, measured only on such rows, is below ``tol`` too. Raises
-    ConvergenceError naming the first failing row, carrying the best iterates,
-    if ``max_iter`` cycles are exhausted first.
+    violation, measured only on such rows, is below ``tol`` too; that violation
+    is the row's ``certified_tol``. Raises ConvergenceError naming the first
+    failing row, carrying the best iterates (their violation measured at the
+    end), if ``max_iter`` cycles are exhausted first.
     """
     if not sets:
         raise UsageError("need at least one set")
@@ -115,7 +116,8 @@ def dykstra_project(
 
     z = np.atleast_2d(x)
     out, rows = z.copy(), np.arange(z.shape[0])  # rows: those still cycling
-    increments = np.zeros((len(sets),) + z.shape)
+    certified = np.empty(z.shape[0])
+    increments = [np.zeros(z.shape) for _ in sets]
     for _ in range(max_iter):
         if not rows.size:
             break
@@ -126,16 +128,21 @@ def dykstra_project(
             increments[i] = shifted - z
         done = row_norm(z - z_prev) < tol
         if done.any():  # the violation is measured only on rows that stopped moving
-            settled = z[done]
-            done[done] = reduce(np.maximum, (row_norm(settled - s._project(settled))
-                                             for s in sets)) < tol
-            if done.any():
+            violation = _violation(sets, z[done])
+            met = violation < tol
+            if met.any():
+                done[done] = met
                 out[rows[done]] = z[done]
-                rows, z, increments = rows[~done], z[~done], increments[:, ~done]
-    else:
+                certified[rows[done]] = violation[met]
+                keep = ~done
+                rows, z = rows[keep], z[keep]
+                increments = [inc[keep] for inc in increments]
+    if rows.size:  # out of cycles: these rows' violation is measured here
         out[rows] = z
-    witness = out if x.ndim == 2 else out[0]
-    result = DistanceResult(row_norm(x - witness), witness, _violation(sets, witness))
+        certified[rows] = _violation(sets, z)
+    if x.ndim == 1:
+        out, certified = out[0], float(certified[0])
+    result = DistanceResult(row_norm(x - out), out, certified)
     if rows.size:
         raise ConvergenceError(
             f"Dykstra did not meet tol={tol:g} within {max_iter} cycles at row "

@@ -299,12 +299,15 @@ def _finite(cell: str) -> float:
 # ---------------------------------------------------------------------------
 
 def _measured(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
-              times, states, dists, mode: str, info: dict) -> Trajectory:
-    """Trajectory through ``(times, states)``: residual and speed from one batch
-    evaluation of T and lambda, dist_fix from ``oracle`` (else ``dists``) one sample
-    at a time, as perfbench/test_perfbench_trace.py counts; failures name the sample."""
-    res = residual(op, np.array(states))
-    speed = schedule(np.array(times, dtype=float)) * res
+              times: np.ndarray, states: np.ndarray, dists, mode: str,
+              info: dict) -> Trajectory:
+    """Trajectory through ``times`` (n,) and ``states`` (n, d), each sample's x a
+    row of ``states``: residual and speed from one batch evaluation of T and
+    lambda, dist_fix from ``oracle`` (else ``dists``) one sample at a time, as
+    perfbench/test_perfbench_trace.py counts; failures name the sample."""
+    res = residual(op, states)
+    speed = (schedule(times) * res).tolist()
+    times = times.tolist()
     if oracle is not None:
         dists = []
         for i, (t, x) in enumerate(zip(times, states)):
@@ -313,16 +316,14 @@ def _measured(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOra
             except ConvergenceError as exc:
                 raise ConvergenceError(f"oracle failed at sample {i} (t={t:g}): {exc}",
                                        result=exc.result) from exc
-    samples = [TrajectorySample(float(t), x, float(r), float(v), d)
-               for t, x, r, v, d in zip(times, states, res, speed, dists)]
+    samples = list(map(TrajectorySample, times, states, res.tolist(), speed, dists))
     limit = samples[-1].x.copy() if samples[-1].residual < LIMIT_RESIDUAL_TOL else None
     return Trajectory(samples, mode, schedule, limit, info)
 
 
 def _finalize(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
-              points: list[tuple[float, np.ndarray]], mode: str, info: dict) -> Trajectory:
-    times, states = zip(*points)
-    return _measured(op, schedule, oracle, times, states, [None] * len(points),
+              times: np.ndarray, states: np.ndarray, mode: str, info: dict) -> Trajectory:
+    return _measured(op, schedule, oracle, times, states, [None] * len(times),
                      mode, info)
 
 
@@ -334,9 +335,8 @@ def sample_metrics(traj: Trajectory, op: Operator,
     """
     if traj.schedule is None:
         raise UsageError("trajectory carries no schedule; cannot recompute speed")
-    return _measured(op, traj.schedule, oracle, [s.t for s in traj.samples],
-                     [s.x for s in traj.samples], [s.dist_fix for s in traj.samples],
-                     traj.mode, dict(traj.info))
+    return _measured(op, traj.schedule, oracle, traj.times(), traj.states(),
+                     [s.dist_fix for s in traj.samples], traj.mode, dict(traj.info))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,7 @@ def _march(op: Operator, x0: np.ndarray, times: np.ndarray, schedule: LambdaSche
     def field_at(t, x, lam=schedule):
         return lam(t) * (op(x) - x)
 
-    points = [(float(times[0]), x0)]
+    kept, xs = [0], [x0]  # recorded step indices and states
     x = x0
     steps = zip(times[:-1].tolist(), dts.tolist(), relaxations.tolist())
     for k, (t, dt, lam) in enumerate(steps, start=1):
@@ -373,9 +373,11 @@ def _march(op: Operator, x0: np.ndarray, times: np.ndarray, schedule: LambdaSche
         else:
             x = _relaxed_step(x, lam, op(x))
         if k % stride == 0 or k == dts.size:
-            points.append((float(times[k]), x))
+            kept.append(k)
+            xs.append(x)
     mode = "continuous" if method in ("euler", "rk4") else "discrete"
-    return _finalize(op, schedule, oracle, points, mode, {"method": method, **info})
+    return _finalize(op, schedule, oracle, times[kept], np.array(xs), mode,
+                     {"method": method, **info})
 
 
 def _schedule_from(lambdas, K: int) -> LambdaSchedule:
@@ -452,8 +454,8 @@ class OdeResult:
         return self.status >= 0
 
 
-def _rms(v: np.ndarray):
-    return np.linalg.norm(v) / v.size ** 0.5
+def _rms(v: np.ndarray) -> float:
+    return math.sqrt(v.dot(v)) / v.size ** 0.5  # the IEEE operations of np.linalg.norm
 
 
 def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
@@ -500,8 +502,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
     else:
         t_eval, ts, ys, i_eval = np.asarray(t_eval), [], [], 0
     K = np.empty((7, y.size))
+    KT, K5T = K.T, K[:-1].T
+    stages = [(_C[s], K[:s].T, _A[s, :s]) for s in range(1, 6)]
     for _ in range(MAX_STEPS):
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -511,14 +515,14 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
                                   "numbers.")
             t_new = min(t + h_abs, tf)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s in range(1, 6):
-                K[s] = rhs(t + _C[s] * h, y + np.dot(K[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _B)
+            for s, (c, Ks, a) in enumerate(stages, start=1):
+                K[s] = rhs(t + c * h, y + np.dot(Ks, a) * h)
+            y_new = y + h * np.dot(K5T, _B)
             K[-1] = f_new = rhs(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(K.T, _E) * h / scale)
+            err = _rms(np.dot(KT, _E) * h / scale)
             if err < 1:  # accept; grow the step by at most 10, or 1 after a reject
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
@@ -533,9 +537,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
             j = np.searchsorted(t_eval, t_new, side="right")
             if j > i_eval:
                 x = (t_eval[i_eval:j] - t) / h
-                p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+                p = np.cumprod(np.broadcast_to(x, (4, x.size)), axis=0)
                 ts.append(t_eval[i_eval:j])
-                ys.append(h * np.dot(K.T.dot(_P), p) + y[:, None])
+                ys.append(h * np.dot(KT.dot(_P), p) + y[:, None])
                 i_eval = j
         t, y, f = t_new, y_new, f_new
         if t >= tf:
@@ -580,20 +584,22 @@ def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
     cuts = set(schedule.breakpoints(config.t_end))
     want = config.sample_times
 
-    points = [(0.0, x0)]
+    times, states = [np.zeros(1)], [x0[None, :]]  # the recorded samples, per segment
     x = x0
     nfev = 0
     for a, b in _segments(schedule, config.t_end):
         t_eval = None
         if want is not None:
+            # strictly increasing already: want is, and inside lies below b
             inside = want[(want > a + 1e-15) & (want < b - 1e-15)]
-            t_eval = np.unique(np.concatenate([inside, [b]]))
+            t_eval = np.concatenate([inside, [b]])
         lam = _segment_lambda(schedule, b, cuts)
         sol = solve_ivp(lambda t, y: lam(t) * (op(y) - y), (a, b), x,
                         rtol=config.rel_tol, atol=config.abs_tol, t_eval=t_eval)
         nfev += sol.nfev
         if not sol.success:
-            partial = _finalize(op, schedule, oracle, points, "continuous",
+            partial = _finalize(op, schedule, oracle, np.concatenate(times),
+                                np.concatenate(states), "continuous",
                                 {"method": "rk45", "status": sol.status,
                                  "message": sol.message})
             raise IntegrationError(
@@ -610,11 +616,13 @@ def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
             # then b, which is recorded only when it is wanted too
             end_wanted = b == config.t_end or bool(np.any(np.abs(want - b) <= 1e-12))
             idx = np.arange(ts.size if end_wanted else ts.size - 1)
-        points.extend(zip(ts[idx].tolist(), ys[idx]))
+        times.append(ts[idx])
+        states.append(ys[idx])
         x = ys[-1]
     info = {"method": "rk45", "rel_tol": config.rel_tol, "abs_tol": config.abs_tol,
             "nfev": int(nfev)}
-    return _finalize(op, schedule, oracle, points, "continuous", info)
+    return _finalize(op, schedule, oracle, np.concatenate(times), np.concatenate(states),
+                     "continuous", info)
 
 
 def integrate_flow(op: Operator, x0, schedule: LambdaSchedule,

@@ -458,7 +458,7 @@ IDENTITY_REL_TOL = 1e-12
 GRADIENT_REL_TOL = 1e-6
 
 
-def random_primitive_set(rng: np.random.Generator, dim: int) -> PrimitiveSet:
+def random_primitive_set(rng: "np.random.Generator", dim: int) -> PrimitiveSet:
     """One random primitive set of a random variant, for identity sweeps."""
     kind = rng.integers(0, 5)
     if kind == 0:

@@ -2,6 +2,7 @@ import copy
 import json
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -599,6 +600,22 @@ class TestVerifyCLI:
         monkeypatch.setattr(regflow.cli, "integrate_flow", spy)
         assert main(["verify"]) == 0
         assert oracles and all(o is None for o in oracles)
+
+    def test_one_continuous_trajectory_alive_at_a_time(self, monkeypatch, capsys):
+        # each integration starts only after every earlier continuous trajectory died
+        earlier, alive_at_call = [], []
+
+        def spy(*args, **kwargs):
+            alive_at_call.append(sum(ref() is not None for ref in earlier))
+            traj = integrate_flow(*args, **kwargs)
+            if traj.mode == "continuous":
+                earlier.append(weakref.ref(traj))
+            return traj
+
+        monkeypatch.setattr(regflow.cli, "integrate_flow", spy)
+        assert main(["verify"]) == 0
+        assert len(earlier) == len(CONTINUOUS)
+        assert alive_at_call == [0] * len(alive_at_call)
 
     def test_unit_step_agreement_compares_whole_trajectories(self, monkeypatch, capsys):
         def km_short(*args, **kwargs):

@@ -292,3 +292,40 @@ class TestDykstraLazyViolation:
             rf.dykstra_project(sets, [[1.0, 0.5], [2.0, 3.0]], tol=1e-300, max_iter=50)
         # 50 cycles of one projection per set, then the witness's violation
         assert len(calls) == len(sets) * 50 + len(sets)
+
+
+class TestDykstraStopTest:
+    """A row's certificate is the violation measured when it stops: a query that
+    converges after k cycles on m sets makes k*m cycle projections and one
+    stop-test pass of m projections, and no final pass."""
+
+    @staticmethod
+    def cycles_to_converge(sets, x, tol):
+        for k in range(1, 1000):
+            try:
+                rf.dykstra_project(sets, x, tol=tol, max_iter=k)
+            except rf.ConvergenceError:
+                continue
+            return k
+        raise AssertionError("no convergence within 1000 cycles")
+
+    @pytest.mark.parametrize("case", ["orthogonal_lines", "three_boxes", "dr_halfspaces"])
+    def test_kernel_calls_per_converged_query(self, case, monkeypatch):
+        if case == "orthogonal_lines":
+            sets, tol = [rf.Hyperplane([0.0, 1.0], 0.0), rf.Hyperplane([1.0, 0.0], 0.0)], 1e-12
+            x = [1.0, 1.0]
+        else:
+            oracle = load_scenario("cyclic_three_boxes" if case == "three_boxes"
+                                   else "dr_two_halfspaces").oracle
+            sets, tol, x = oracle.sets, oracle.tol, [3.0, -2.0]
+        k = self.cycles_to_converge(sets, x, tol)
+        calls = []
+        for s in sets:
+            kernel = s._project
+            monkeypatch.setattr(s, "_project",
+                                lambda z, kernel=kernel: calls.append(1) or kernel(z))
+        result = rf.dykstra_project(sets, x, tol=tol, max_iter=1000)
+        m = len(sets)
+        assert len(calls) == k * m + m
+        assert result.certified_tol < tol
+        assert result.certified_tol == max(s.distance(result.witness) for s in sets)
