@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, UsageError
-from .sets import Hyperplane, PrimitiveSet, gap, is_affine, matvec, row_norm
+from .sets import Hyperplane, PrimitiveSet, gap_norm, is_affine, matvec, row_norm
 from .validation import as_point, as_vector
 
 DEFAULT_TOL = 1e-12
@@ -37,7 +37,7 @@ class DistanceResult:
 def residual(op, x):
     """||x - T(x)|| row-wise, the quantity whose vanishing certifies a fixed point."""
     x = as_point(x, op.dim)
-    return row_norm(x - op.fn(x))
+    return gap_norm(x, op.fn(x))
 
 
 def _violation(sets: list[PrimitiveSet], witness: np.ndarray):
@@ -171,7 +171,7 @@ class ExactSet(FixSetOracle):
     def distance_to(self, x) -> DistanceResult:
         x = as_point(x, self.dim)
         w = self.set._project(x)
-        return DistanceResult(row_norm(gap(x, w)), w, self.set.distance(w))
+        return DistanceResult(gap_norm(x, w), w, self.set.distance(w))
 
 
 class SinglePoint(FixSetOracle):

@@ -2,11 +2,21 @@
 
 Two modes share one metric pipeline: a continuous mode (adaptive or fixed-step
 integrators approximating the strong global solution) and a discrete mode (the
-relaxed iteration x_{k+1} = (1-lam_k) x_k + lam_k T(x_k)). All fixed-step methods
-run one marcher over a time grid: an Euler step of size h from t_k is the relaxed
-step with relaxation h lambda(t_k), so unit-step Euler is that iteration, bit for bit.
-The adaptive method is this module's own Dormand-Prince 5(4) loop, ``solve_ivp``,
-which also solves the scalar comparison-lemma ODEs in ``rates``.
+relaxed iteration x_{k+1} = (1-lam_k) x_k + lam_k T(x_k)). All five methods run
+one loop, ``_march``, over the pieces of the schedule (integration restarts at
+each breakpoint). ``rk45`` solves each piece with this module's own
+Dormand-Prince 5(4) loop, ``solve_ivp``, which also solves the scalar
+comparison-lemma ODEs in ``rates``. The fixed-step methods step across it by h:
+an Euler step of size h from t_k is the relaxed step with relaxation
+h lambda(t_k), so unit-step Euler is that iteration, bit for bit. Three
+recording rules:
+
+- unit steps (``km_iterate``, ``euler_unit``) run on 0, 1, ..., K as one piece,
+  since the relaxed iteration reads lambda at the integers wherever it breaks;
+- fixed steps count ``sample_stride`` from t = 0 across pieces, and the last
+  step is always kept;
+- ``rk45`` records its ``sample_times``, or else every ``sample_stride``-th
+  accepted step of each piece and every piece's end.
 
 The vector field is globally Lipschitz (T nonexpansive, lambda <= 1), so no
 stability guard beyond standard adaptive control is needed.
@@ -298,13 +308,14 @@ def _finite(cell: str) -> float:
 # Metric evaluation
 # ---------------------------------------------------------------------------
 
-def _measured(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
-              times: np.ndarray, states: np.ndarray, dists, mode: str,
-              info: dict) -> Trajectory:
+def _finalize(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
+              times: np.ndarray, states: np.ndarray, mode: str, info: dict,
+              dists=None) -> Trajectory:
     """Trajectory through ``times`` (n,) and ``states`` (n, d), each sample's x a
     row of ``states``: residual and speed from one batch evaluation of T and
-    lambda, dist_fix from ``oracle`` (else ``dists``) one sample at a time, as
-    perfbench/test_perfbench_trace.py counts; failures name the sample."""
+    lambda, dist_fix from ``oracle`` one sample at a time, as
+    perfbench/test_perfbench_trace.py counts (else from ``dists``, else None);
+    oracle failures name the sample."""
     res = residual(op, states)
     speed = (schedule(times) * res).tolist()
     times = times.tolist()
@@ -316,15 +327,11 @@ def _measured(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOra
             except ConvergenceError as exc:
                 raise ConvergenceError(f"oracle failed at sample {i} (t={t:g}): {exc}",
                                        result=exc.result) from exc
+    elif dists is None:
+        dists = [None] * len(times)
     samples = list(map(TrajectorySample, times, states, res.tolist(), speed, dists))
     limit = samples[-1].x.copy() if samples[-1].residual < LIMIT_RESIDUAL_TOL else None
     return Trajectory(samples, mode, schedule, limit, info)
-
-
-def _finalize(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
-              times: np.ndarray, states: np.ndarray, mode: str, info: dict) -> Trajectory:
-    return _measured(op, schedule, oracle, times, states, [None] * len(times),
-                     mode, info)
 
 
 def sample_metrics(traj: Trajectory, op: Operator,
@@ -335,49 +342,108 @@ def sample_metrics(traj: Trajectory, op: Operator,
     """
     if traj.schedule is None:
         raise UsageError("trajectory carries no schedule; cannot recompute speed")
-    return _measured(op, traj.schedule, oracle, traj.times(), traj.states(),
-                     [s.dist_fix for s in traj.samples], traj.mode, dict(traj.info))
+    return _finalize(op, traj.schedule, oracle, traj.times(), traj.states(), traj.mode,
+                     dict(traj.info), [s.dist_fix for s in traj.samples])
 
 
 # ---------------------------------------------------------------------------
-# Fixed-step marching: the relaxed iteration, unit-step Euler, Euler and RK4
+# Marching: one loop over the schedule's pieces for all five methods
 # ---------------------------------------------------------------------------
 
 def _relaxed_step(x: np.ndarray, lam: float, tx: np.ndarray) -> np.ndarray:
     return (1.0 - lam) * x + lam * tx
 
 
-def _march(op: Operator, x0: np.ndarray, times: np.ndarray, schedule: LambdaSchedule,
-           oracle: Optional[FixSetOracle], stride: int, method: str, **info) -> Trajectory:
-    """Step x0 = x(times[0]) across ``times``, recording every ``stride``-th step
-    and the last. An RK4 step is the classical four-stage one; any other step
-    from t_k to t_{k+1} is the relaxed step of relaxation (t_{k+1} - t_k) lambda(t_k):
-    explicit Euler for the flow, and at unit steps the relaxed iteration itself."""
-    dts = np.diff(times)
-    relaxations = dts * schedule(times[:-1])
-    cuts = set(schedule.breakpoints(float(times[-1]))) if method == "rk4" else set()
+def _ending_piece(schedule: LambdaSchedule, b: float) -> LambdaSchedule:
+    """lambda on a piece [a, b) that ends at an interior breakpoint b, read up to
+    and including b: there it is the ending piece's value, not the next piece's."""
+    before = math.nextafter(b, -math.inf)
+    return lambda t: schedule(min(t, before))
 
-    def field_at(t, x, lam=schedule):
-        return lam(t) * (op(x) - x)
 
-    kept, xs = [0], [x0]  # recorded step indices and states
-    x = x0
-    steps = zip(times[:-1].tolist(), dts.tolist(), relaxations.tolist())
-    for k, (t, dt, lam) in enumerate(steps, start=1):
-        if method == "rk4":
-            k1 = field_at(t, x)
-            k2 = field_at(t + dt / 2, x + (dt / 2) * k1)
-            k3 = field_at(t + dt / 2, x + (dt / 2) * k2)
-            k4 = field_at(t + dt, x + dt * k3, _segment_lambda(schedule, times[k], cuts))
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _march(op: Operator, x0: np.ndarray, schedule: LambdaSchedule,
+           oracle: Optional[FixSetOracle], method: str, t_end: float,
+           config: Optional[IntegratorConfig] = None) -> Trajectory:
+    """Step x0 = x(0) to ``t_end`` one schedule piece at a time and measure the
+    recorded states; ``config`` is None for ``km_iterate`` (unit steps, stride 1).
+
+    ``rk45`` makes one ``solve_ivp`` call per piece. Every other method steps from
+    the piece's start by h (the last step ends exactly at its end); an RK4 step is
+    the classical four-stage one, any other step from t_k to t_{k+1} the relaxed
+    step of relaxation (t_{k+1} - t_k) lambda(t_k). Unit steps are one piece."""
+    unit = method in ("km", "euler_unit")
+    h, stride = (1.0, 1) if config is None else (config.h, config.sample_stride)
+    want = None if config is None else config.sample_times
+    cuts = [] if unit else schedule.breakpoints(t_end)
+
+    def field(lam):
+        return lambda t, y: lam(t) * (op(y) - y)
+
+    times, states = [np.zeros(1)], [x0[None, :]]  # the recorded samples, per piece
+    x, a, steps, nfev = x0, 0.0, 0, 0
+    for i, b in enumerate(cuts + [t_end]):
+        last = i == len(cuts)  # otherwise the piece ends at an interior breakpoint
+        lam = schedule if last else _ending_piece(schedule, b)
+        if method == "rk45":
+            t_eval = None
+            if want is not None:
+                # strictly increasing already: want is, and inside lies below b
+                inside = want[(want > a + 1e-15) & (want < b - 1e-15)]
+                t_eval = np.concatenate([inside, [b]])
+            sol = solve_ivp(field(lam), (a, b), x, rtol=config.rel_tol,
+                            atol=config.abs_tol, t_eval=t_eval)
+            nfev += sol.nfev
+            if not sol.success:
+                partial = _finalize(op, schedule, oracle, np.concatenate(times),
+                                    np.concatenate(states), "continuous",
+                                    {"method": "rk45", "status": sol.status,
+                                     "message": sol.message})
+                raise IntegrationError(
+                    f"adaptive integration failed on [{a:g}, {b:g}]: {sol.message}",
+                    partial=partial,
+                )
+            ts, ys = sol.t, sol.y.T
+            if want is None:  # every stride-th accepted step of the piece, and its end
+                idx = np.arange(1, ts.size)
+                idx = idx[(idx % stride == 0) | (idx == ts.size - 1)]
+            else:
+                # ts is t_eval: the wanted times inside (a, b), then b, which is
+                # recorded only when it is wanted too
+                end_wanted = last or bool(np.any(np.abs(want - b) <= 1e-12))
+                idx = np.arange(ts.size if end_wanted else ts.size - 1)
+            ys, x = ys[idx], ys[-1]
         else:
-            x = _relaxed_step(x, lam, op(x))
-        if k % stride == 0 or k == dts.size:
-            kept.append(k)
-            xs.append(x)
-    mode = "continuous" if method in ("euler", "rk4") else "discrete"
-    return _finalize(op, schedule, oracle, times[kept], np.array(xs), mode,
-                     {"method": method, **info})
+            n = max(int(np.ceil((b - a) / h - 1e-12)), 1)
+            ts = np.minimum(a + np.arange(n + 1) * h, b)
+            ts[-1] = b  # the piece's last step ends exactly at its end
+            dts = np.diff(ts)
+            f, f_end = field(schedule), field(lam)
+            idx, ys = [], []  # every stride-th step counted from t = 0, and the last
+            grid = zip(ts[:-1].tolist(), dts.tolist(), (dts * schedule(ts[:-1])).tolist(),
+                       ts[1:].tolist())
+            for j, (t, dt, relaxation, t_next) in enumerate(grid, start=1):
+                if method == "rk4":
+                    k1 = f(t, x)
+                    k2 = f(t + dt / 2, x + (dt / 2) * k1)
+                    k3 = f(t + dt / 2, x + (dt / 2) * k2)
+                    k4 = (f_end if t_next == b else f)(t + dt, x + dt * k3)
+                    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                else:
+                    x = _relaxed_step(x, relaxation, op(x))
+                if (steps + j) % stride == 0 or (last and j == n):
+                    idx.append(j)
+                    ys.append(x)
+            steps += n
+            ys = np.array(ys).reshape(len(idx), x0.size)
+        times.append(ts[idx])
+        states.append(ys)
+        a = b
+    if method == "rk45":
+        info = {"rel_tol": config.rel_tol, "abs_tol": config.abs_tol, "nfev": nfev}
+    else:
+        info = {"K": steps} if unit else {"h": float(h), "steps": steps}
+    return _finalize(op, schedule, oracle, np.concatenate(times), np.concatenate(states),
+                     "discrete" if unit else "continuous", {"method": method, **info})
 
 
 def _schedule_from(lambdas, K: int) -> LambdaSchedule:
@@ -396,15 +462,16 @@ def km_iterate(op: Operator, x0, lambdas, K: int,
                oracle: Optional[FixSetOracle] = None) -> Trajectory:
     """Run x_{k+1} = (1-lam_k) x_k + lam_k T(x_k) for K steps.
 
-    ``lambdas`` may be a sequence (at least K values), a scalar, or a
-    LambdaSchedule sampled at integer times. Sample times are 0..K.
+    ``K`` is an integer in [1, MAX_STEPS], the work budget. ``lambdas`` may be a
+    sequence (at least K values), a scalar, or a LambdaSchedule sampled at
+    integer times. Sample times are 0..K.
     """
-    if K < 1:
-        raise UsageError("K must be >= 1")
+    if not (1 <= K <= MAX_STEPS and K == int(K)):
+        raise UsageError(f"K must be an integer in [1, {MAX_STEPS}], the work budget; "
+                         f"got {K!r}")
     x0 = as_vector(x0, op.dim)
     K = int(K)
-    return _march(op, x0, np.arange(K + 1.0), _schedule_from(lambdas, K), oracle, 1,
-                  "km", K=K)
+    return _march(op, x0, _schedule_from(lambdas, K), oracle, "km", K)
 
 
 # ---------------------------------------------------------------------------
@@ -549,82 +616,6 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
                       "steps, the work budget")
 
 
-# ---------------------------------------------------------------------------
-# Continuous integration
-# ---------------------------------------------------------------------------
-
-def _segments(schedule: LambdaSchedule, t_end: float) -> list[tuple[float, float]]:
-    cuts = [0.0] + schedule.breakpoints(t_end) + [t_end]
-    return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-
-
-def _step_grid(schedule: LambdaSchedule, t_end: float, h: float) -> np.ndarray:
-    """0, then steps of size h from the start of each segment; a segment's last
-    step ends exactly at its breakpoint, so the grid ends exactly at t_end."""
-    grid = [np.zeros(1)]
-    for a, b in _segments(schedule, t_end):
-        n_steps = max(int(np.ceil((b - a) / h - 1e-12)), 1)
-        seg = np.minimum(a + np.arange(1, n_steps + 1) * h, b)
-        seg[-1] = b
-        grid.append(seg)
-    return np.concatenate(grid)
-
-
-def _segment_lambda(schedule: LambdaSchedule, b: float, cuts) -> LambdaSchedule:
-    """lambda on a segment [a, b), read up to and including b: at an interior
-    breakpoint b (one of ``cuts``) that is the ending piece's value, not the next
-    piece's. A segment that ends anywhere else keeps ``schedule`` itself."""
-    if b not in cuts:
-        return schedule
-    before = float(np.nextafter(b, -np.inf))
-    return lambda t: schedule(min(t, before))
-
-
-def _adaptive_run(op, x0, schedule, config, oracle) -> Trajectory:
-    cuts = set(schedule.breakpoints(config.t_end))
-    want = config.sample_times
-
-    times, states = [np.zeros(1)], [x0[None, :]]  # the recorded samples, per segment
-    x = x0
-    nfev = 0
-    for a, b in _segments(schedule, config.t_end):
-        t_eval = None
-        if want is not None:
-            # strictly increasing already: want is, and inside lies below b
-            inside = want[(want > a + 1e-15) & (want < b - 1e-15)]
-            t_eval = np.concatenate([inside, [b]])
-        lam = _segment_lambda(schedule, b, cuts)
-        sol = solve_ivp(lambda t, y: lam(t) * (op(y) - y), (a, b), x,
-                        rtol=config.rel_tol, atol=config.abs_tol, t_eval=t_eval)
-        nfev += sol.nfev
-        if not sol.success:
-            partial = _finalize(op, schedule, oracle, np.concatenate(times),
-                                np.concatenate(states), "continuous",
-                                {"method": "rk45", "status": sol.status,
-                                 "message": sol.message})
-            raise IntegrationError(
-                f"adaptive integration failed on [{a:g}, {b:g}]: {sol.message}",
-                partial=partial,
-            )
-        ts, ys = sol.t, sol.y.T
-        if want is None:
-            # record every sample_stride-th accepted step, plus the endpoint
-            idx = np.arange(1, ts.size)
-            idx = idx[(idx % config.sample_stride == 0) | (idx == ts.size - 1)]
-        else:
-            # solve_ivp returns exactly t_eval: the wanted times inside (a, b),
-            # then b, which is recorded only when it is wanted too
-            end_wanted = b == config.t_end or bool(np.any(np.abs(want - b) <= 1e-12))
-            idx = np.arange(ts.size if end_wanted else ts.size - 1)
-        times.append(ts[idx])
-        states.append(ys[idx])
-        x = ys[-1]
-    info = {"method": "rk45", "rel_tol": config.rel_tol, "abs_tol": config.abs_tol,
-            "nfev": int(nfev)}
-    return _finalize(op, schedule, oracle, np.concatenate(times), np.concatenate(states),
-                     "continuous", info)
-
-
 def integrate_flow(op: Operator, x0, schedule: LambdaSchedule,
                    config: IntegratorConfig,
                    oracle: Optional[FixSetOracle] = None) -> Trajectory:
@@ -635,17 +626,11 @@ def integrate_flow(op: Operator, x0, schedule: LambdaSchedule,
     relaxed iteration and matches km_iterate bit for bit at integer times.
     """
     x0 = as_vector(x0, op.dim)
+    t_end = config.t_end
     if config.method == "euler_unit":
-        K = int(round(config.t_end))
-        if abs(config.t_end - K) > _UNIT_GRID_TOL or K < 1:
+        t_end = round(config.t_end)
+        if abs(config.t_end - t_end) > _UNIT_GRID_TOL or t_end < 1:
             raise UsageError("euler_unit requires an integer t_end >= 1")
         if not schedule.is_unit_aligned():
             raise UsageError("euler_unit requires a schedule constant on unit intervals")
-        # unit-step Euler is the discrete iteration viewed in continuous time
-        return _march(op, x0, np.arange(K + 1.0), schedule, oracle, config.sample_stride,
-                      "euler_unit", K=K)
-    if config.method in ("euler", "rk4"):
-        times = _step_grid(schedule, config.t_end, config.h)
-        return _march(op, x0, times, schedule, oracle, config.sample_stride, config.method,
-                      h=float(config.h), steps=times.size - 1)
-    return _adaptive_run(op, x0, schedule, config, oracle)
+    return _march(op, x0, schedule, oracle, config.method, t_end, config)

@@ -7,6 +7,8 @@ Kernels sum along the last axis instead of calling BLAS, so a batch row rounds
 exactly like the same point alone.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConstructionError
@@ -22,10 +24,26 @@ def row_norm(v: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-@np.errstate(over="ignore")  # cheaper per call than a with block
-def gap(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x - w``; inf with no warning where the difference leaves the float range."""
-    return x - w
+@np.errstate(over="ignore", under="ignore")  # cheaper per call than a with block
+def gap_norm(x: np.ndarray, w: np.ndarray):
+    """``row_norm(x - w)`` with no warning: inf where the distance leaves the float
+    range, and finite wherever it does not. A row whose squares overflow is
+    measured again, scaled by a power of two; every other row is ``row_norm``'s."""
+    d = x - w
+    norms = row_norm(d)
+    if isinstance(norms, float):  # one point: a check in Python floats
+        return float(_scaled_norm(d)) if math.isinf(norms) else norms
+    huge = np.isinf(norms)
+    if huge.any():
+        norms[huge] = _scaled_norm(d[huge])
+    return norms
+
+
+def _scaled_norm(d: np.ndarray):
+    """The norm of each row of ``d`` from the row scaled by a power of two that
+    brings its largest entry into [0.5, 1), so no square overflows."""
+    e = np.frexp(np.abs(d).max(axis=-1))[1]
+    return np.ldexp(row_norm(np.ldexp(d, -e[..., None])), e)
 
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -53,7 +71,7 @@ class PrimitiveSet:
         """Euclidean distance from ``x`` to the set (``project`` validates ``x``);
         inf when it exceeds the float range."""
         w = self.project(x)
-        return row_norm(gap(np.asarray(x, dtype=float), w))
+        return gap_norm(np.asarray(x, dtype=float), w)
 
     def contains(self, x, tol: float = 1e-12):
         return self.distance(x) <= tol

@@ -164,6 +164,13 @@ class TestKM:
         with pytest.raises(rf.UsageError):
             rf.km_iterate(zero_map, [1.0], bad, 2)
 
+    @pytest.mark.parametrize("K", [0, 2.5, 11, np.inf, np.nan])
+    def test_step_count_within_the_work_budget(self, zero_map, monkeypatch, K):
+        monkeypatch.setattr(flow_mod, "MAX_STEPS", 10)
+        with pytest.raises(rf.UsageError, match="work budget"):
+            rf.km_iterate(zero_map, [1.0], [0.5] * 20, K)
+        assert rf.km_iterate(zero_map, [1.0], [0.5] * 20, 10.0).info["K"] == 10
+
 
 class TestKMEulerEquivalence:
     def test_bit_identical_constant_schedule(self, two_lines):
@@ -260,6 +267,50 @@ class TestFixedStepMarch:
         assert full.times().size == 11
         np.testing.assert_array_equal(every4.times(), full.times()[[0, 4, 8, 10]])
         np.testing.assert_array_equal(every4.states(), full.states()[[0, 4, 8, 10]])
+
+
+class TestRecordingRules:
+    def test_unit_steps_run_as_one_piece(self, two_lines):
+        # km_iterate reads lambda at the integers 0..K-1 and records 0..K, whatever
+        # times the schedule breaks at
+        op, sched = two_lines["op"], rf.PiecewiseConstant([0.0, 1.5, 2.25], [0.9, 0.4, 0.7])
+        traj = rf.km_iterate(op, [4.0, 3.0], sched, 5)
+        ts, xs = traj.times(), traj.states()
+        np.testing.assert_array_equal(ts, np.arange(6.0))
+        for k in range(5):
+            lam = sched(float(k))
+            np.testing.assert_array_equal(xs[k + 1], (1.0 - lam) * xs[k] + lam * op(xs[k]))
+
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    def test_fixed_step_stride_counts_from_zero_across_pieces(self, two_lines, method):
+        # pieces [0, 0.45] (5 steps) and [0.45, 1] (6 steps): stride 3 keeps the
+        # steps 3, 6 and 9 of the whole run, and its last step, 11
+        def run(stride):
+            cfg = rf.IntegratorConfig(method, 1.0, h=0.1, sample_stride=stride)
+            return rf.integrate_flow(two_lines["op"], [4.0, 3.0],
+                                     rf.PiecewiseConstant([0.0, 0.45], [1.0, 0.5]), cfg)
+
+        full, every3 = run(1), run(3)
+        assert full.times().size == 12 and full.times()[5] == 0.45
+        np.testing.assert_array_equal(every3.times(), full.times()[[0, 3, 6, 9, 11]])
+        np.testing.assert_array_equal(every3.states(), full.states()[[0, 3, 6, 9, 11]])
+
+    def test_adaptive_stride_counts_per_piece_and_keeps_each_end(self, two_lines):
+        sched = rf.PiecewiseConstant([0.0, 1.0, 2.5], [1.0, 0.5, 0.8])
+
+        def run(stride):
+            cfg = rf.IntegratorConfig("rk45", 4.0, sample_stride=stride)
+            return rf.integrate_flow(two_lines["op"], [4.0, 3.0], sched, cfg)
+
+        full, every3 = run(1), run(3)
+        ts = full.times()
+        keep = [0]
+        for a, b in [(0.0, 1.0), (1.0, 2.5), (2.5, 4.0)]:
+            piece = np.flatnonzero((ts > a) & (ts <= b))
+            assert ts[piece[-1]] == b and piece.size > 3
+            keep += sorted({*piece[2::3], piece[-1]})  # steps 3, 6, ... and the end
+        np.testing.assert_array_equal(every3.times(), ts[keep])
+        np.testing.assert_array_equal(every3.states(), full.states()[keep])
 
 
 class TestTrajectoryProperties:

@@ -97,6 +97,28 @@ class TestProjectExamples:
         result = rf.ExactSet(ball).distance_to([1e308, 0.0])
         assert result.distance == np.inf and result.certified_tol == 0.0
 
+    @pytest.mark.parametrize("distance", [
+        lambda: rf.Ball([0.0, 0.0], 1.0).distance([1e200, 0.0]),
+        lambda: rf.Box([0.0, 0.0], [1.0, 1.0]).distance([1e200, 0.0]),
+        lambda: rf.HalfSpace([1.0, 0.0], 0.0).distance([1e200, 0.0]),
+        lambda: rf.ExactSet(rf.Ball([0.0, 0.0], 1.0)).distance_to([1e200, 0.0]).distance,
+        lambda: rf.residual(rf.projector(rf.Ball([0.0, 0.0], 1.0)), [1e200, 0.0]),
+    ])
+    def test_finite_distance_whose_square_overflows(self, distance):
+        # ||x - P(x)||^2 overflows though the distance, 1e200, is finite
+        with np.errstate(all="raise"):
+            assert distance() == 1e200
+
+    def test_only_overflowing_rows_are_measured_again(self):
+        box = rf.Box([0.0, 0.0], [1.0, 1.0])
+        rows = np.array([[3.0, 4.0], [1e200, 1e200], [0.3, -7e-3], [-1e155, 2e154]])
+        with np.errstate(all="raise"):
+            batch = box.distance(rows)
+        gaps = rows - box.project(rows)
+        np.testing.assert_array_equal(batch[[0, 2]], np.linalg.norm(gaps[[0, 2]], axis=1))
+        np.testing.assert_allclose(batch[[1, 3]], [np.sqrt(2.0) * 1e200,
+                                                   np.hypot(1e155 + 1.0, 2e154)], rtol=1e-15)
+
     def test_box_clip(self):
         box = rf.Box([0.0, 0.0], [1.0, 1.0])
         np.testing.assert_array_equal(rf.project(box, [2.0, -1.0]), [1.0, 0.0])
