@@ -13,6 +13,7 @@ keys, locale-independent floats, no timestamps).
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -63,7 +64,7 @@ from .scenarios import (
     load_scenario,
     resolve_config_source,
 )
-from .sets import Hyperplane
+from .sets import Hyperplane, row_norm
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -175,7 +176,7 @@ def _run_stages(scenario: Scenario, out_dir: Path, report: dict) -> int:
                              "worst_slack")
                 continue
             region = scenario.regularity["region"]
-            dists = np.linalg.norm(traj.states() - region.center[None, :], axis=1)
+            dists = row_norm(traj.states() - region.center[None, :])
             report["checks"].append({"name": "estimate region contains trajectory",
                                      "passed": bool(dists.max() <= region.radius + 1e-9)})
             x_bar = traj.limit_estimate
@@ -297,6 +298,7 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="regflow",

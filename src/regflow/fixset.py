@@ -81,7 +81,7 @@ def affine_intersection_project(sets: list[PrimitiveSet], x) -> DistanceResult:
         sets = _FactoredAffine(sets)
     x = as_point(x, sets[0].dim)
     witness = matvec(sets.matrix, x) + sets.shift
-    return DistanceResult(row_norm(x - witness), witness, _violation(sets, witness))
+    return DistanceResult(gap_norm(x, witness), witness, _violation(sets, witness))
 
 
 def dykstra_project(
@@ -98,9 +98,11 @@ def dykstra_project(
     what the distance function needs. A row stops when the cycle-to-cycle
     movement of its iterate drops below ``tol`` and then its worst constraint
     violation, measured only on such rows, is below ``tol`` too; that violation
-    is the row's ``certified_tol``. Raises ConvergenceError naming the first
-    failing row, carrying the best iterates (their violation measured at the
-    end), if ``max_iter`` cycles are exhausted first.
+    is the row's ``certified_tol``. A movement that overflows reads inf, "still
+    moving", with no warning, and the distance is ``gap_norm``'s. Raises
+    ConvergenceError naming the first failing row, carrying the best iterates
+    (their violation measured at the end), if ``max_iter`` cycles are exhausted
+    first.
     """
     if not sets:
         raise UsageError("need at least one set")
@@ -118,18 +120,28 @@ def dykstra_project(
     out, rows = z.copy(), np.arange(z.shape[0])  # rows: those still cycling
     certified = np.empty(z.shape[0])
     increments = [np.zeros(z.shape) for _ in sets]
-    for _ in range(max_iter):
-        if not rows.size:
-            break
-        z_prev = z
-        for i, s in enumerate(sets):
-            shifted = z + increments[i]
-            z = s._project(shifted)
-            increments[i] = shifted - z
-        done = row_norm(z - z_prev) < tol
-        if done.any():  # the violation is measured only on rows that stopped moving
-            violation = _violation(sets, z[done])
+    # a cycle's movement may overflow to inf on finite rows: that row still moves
+    with np.errstate(over="ignore"):
+        for _ in range(max_iter):
+            if not rows.size:
+                break
+            z_prev = z
+            for i, s in enumerate(sets):
+                shifted = z + increments[i]
+                z = s._project(shifted)
+                increments[i] = shifted - z
+            done = row_norm(z - z_prev) < tol
+            if not done.any():
+                continue
+            # the violation is measured only on rows that stopped moving
+            every = done.all()
+            violation = _violation(sets, z if every else z[done])
             met = violation < tol
+            if every and met.all():  # the last rows stop together: nothing to compact
+                out[rows] = z
+                certified[rows] = violation
+                rows = rows[:0]
+                break
             if met.any():
                 done[done] = met
                 out[rows[done]] = z[done]
@@ -142,7 +154,7 @@ def dykstra_project(
         certified[rows] = _violation(sets, z)
     if x.ndim == 1:
         out, certified = out[0], float(certified[0])
-    result = DistanceResult(row_norm(x - out), out, certified)
+    result = DistanceResult(gap_norm(x, out), out, certified)
     if rows.size:
         raise ConvergenceError(
             f"Dykstra did not meet tol={tol:g} within {max_iter} cycles at row "
@@ -185,7 +197,7 @@ class SinglePoint(FixSetOracle):
         x = as_point(x, self.dim)
         w = np.empty_like(x)
         w[...] = self.point
-        return DistanceResult(row_norm(x - w), w, row_norm(w - self.point))
+        return DistanceResult(gap_norm(x, w), w, row_norm(w - self.point))
 
 
 class Intersection(FixSetOracle):

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import ConvergenceError, IntegrationError, UsageError
 from .fixset import FixSetOracle, residual
 from .operators import Operator
+from .sets import row_norm
 from .validation import as_vector
 
 # Residual below which the final iterate is trusted as the limit point.
@@ -238,7 +239,7 @@ class Trajectory:
                 raise UsageError("trajectory has no limit_estimate; run longer or "
                                  "use another metric")
             xs = self.states()
-            return np.linalg.norm(xs - self.limit_estimate[None, :], axis=1)
+            return row_norm(xs - self.limit_estimate[None, :])
         raise UsageError(f"unknown metric {name!r}")
 
     def to_csv(self, path) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import FitError, NumericRangeError, UsageError
 from .flow import LambdaSchedule, Trajectory, solve_ivp
 from .regularity import InequalityReport, _report, _schedule, record_dict
+from .sets import row_norm
 from .validation import as_vector
 
 # Fit window default: drop the early transient, keep the last 80% of samples
@@ -166,7 +167,7 @@ def _bound_inputs(traj: Trajectory, schedule: LambdaSchedule, x_bar, rate: str):
         )
     else:
         xbar = traj.limit_estimate
-    err = np.linalg.norm(traj.states() - xbar[None, :], axis=1)
+    err = row_norm(traj.states() - xbar[None, :])
     return lam_star, traj.times(), d, err
 
 

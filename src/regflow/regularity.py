@@ -68,7 +68,7 @@ def sample_region(region: Region, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     d = region.dim
     g = rng.standard_normal((n, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = row_norm(g)[:, None]
     norms[norms == 0.0] = 1.0
     radii = region.radius * rng.random(n) ** (1.0 / d)
     return region.center[None, :] + (g / norms) * radii[:, None]

@@ -4,7 +4,13 @@ Every set exposes ``project``, ``distance`` and ``contains``, row-wise on a
 point ``(d,)`` or a batch ``(n, d)``. ``project`` validates once and calls the
 raw kernel ``_project``, which operators and oracles call on validated arrays.
 Kernels sum along the last axis instead of calling BLAS, so a batch row rounds
-exactly like the same point alone.
+exactly like the same point alone. Every such sum (``row_norm``, ``matvec``,
+the half-space and hyperplane dot products) is ``row_sum``, which returns
+``np.add.reduce(v, axis=-1)`` bit for bit. numpy (2.x) reduces a row of fewer
+than 8 entries left to right from 0.0, ``((0.0 + v0) + v1) + ...``, and longer
+rows in pairwise blocks; ``row_sum`` does the short-row sum as column adds over
+all rows at once (scalar adds for a point, array adds for a large batch) and
+leaves everything else to ``np.add.reduce``.
 """
 
 import math
@@ -16,11 +22,35 @@ from .validation import as_matrix, as_point, as_vector
 
 # Rank decisions when orthonormalizing affine bases.
 RANK_TOL = 1e-12
+# Batches of at least this many rows are summed by columns in ``row_sum``: about
+# where d array adds start to cost less than one reduction call (numpy 2.4, d <= 7).
+COLUMN_ROWS = 128
+
+
+def row_sum(v: np.ndarray):
+    """``np.add.reduce(v, axis=-1)`` of a float array, bit for bit, same type and shape.
+
+    A row of fewer than 8 entries is summed as numpy sums it, left to right
+    from 0.0 (so a row of -0.0 sums to +0.0), but column by column over all
+    rows at once: one scalar add per entry for a point, one array add per
+    entry for a batch of at least ``COLUMN_ROWS`` rows. Any other row length
+    is numpy's own pairwise reduction, and so is a smaller batch, where one
+    reduction call costs less than ``d`` array adds.
+    """
+    d = v.shape[-1]
+    if not 0 < d < 8 or (v.ndim > 1 and v.size < COLUMN_ROWS * d):
+        return np.add.reduce(v, axis=-1)
+    cols = v.T  # cols[k] is entry k of every row, transposed for 3-D and up
+    total = 0.0 + cols[0]
+    for k in range(1, d):
+        total += cols[k]
+    return total.T
 
 
 def row_norm(v: np.ndarray):
-    """Euclidean norm along the last axis: a float for a point, ``(n,)`` for a batch."""
-    norms = np.sqrt(np.add.reduce(v * v, axis=-1))  # as np.linalg.norm, less overhead
+    """Euclidean norm along the last axis: a float for a point, ``(n,)`` for a batch.
+    For a real 2-D ``v`` it equals ``np.linalg.norm(v, axis=1)`` bit for bit."""
+    norms = np.sqrt(row_sum(v * v))  # np.linalg.norm's arithmetic, less overhead
     return float(norms) if norms.ndim == 0 else norms
 
 
@@ -48,7 +78,7 @@ def _scaled_norm(d: np.ndarray):
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``m @ x`` for each row of ``x``."""
-    return np.add.reduce(x[..., None, :] * m, axis=-1)
+    return row_sum(x[..., None, :] * m)
 
 
 class PrimitiveSet:
@@ -99,7 +129,7 @@ class _Linear(PrimitiveSet):
 
     def _excess(self, x):
         """(<a, x> - b) / ||a||^2 per row, shaped to broadcast against ``x``."""
-        dot = np.add.reduce(x * self.normal, axis=-1)[..., None]
+        dot = row_sum(x * self.normal)[..., None]
         return (dot - self.offset) / self._nsq
 
 

@@ -819,3 +819,32 @@ def _run_mutated(root, cfg, data):
 
 def test_mutated_config_keeps_exit_contract(tmp_path):
     _run_mutated(tmp_path)
+
+
+def test_one_parser_per_process_keeps_no_state(monkeypatch, capsys):
+    assert regflow.cli._build_parser() is regflow.cli._build_parser()
+    seen = []
+    for command in ("run", "verify", "reg"):
+        monkeypatch.setitem(regflow.cli._COMMANDS, command,
+                            lambda args: seen.append(vars(args)) or 0)
+    assert main(["reg", "two_lines_60deg", "--mode", "hoelder", "--samples", "50",
+                 "--seed", "3", "--out-dir", "a", "--fix-tol", "1e-9"]) == 0
+    assert main(["verify", "--corrupt", "--seed", "2"]) == 0
+    assert main(["run", "x.json", "--fix-max-iter", "7"]) == 0
+    assert main(["reg", "y.json"]) == 0
+    assert main(["verify"]) == 0
+    assert seen == [
+        {"command": "reg", "config": "two_lines_60deg", "mode": "hoelder", "samples": 50,
+         "seed": 3, "out_dir": "a", "fix_tol": 1e-9, "fix_max_iter": None},
+        {"command": "verify", "seed": 2, "corrupt": True},
+        {"command": "run", "config": "x.json", "out_dir": None, "fix_tol": None,
+         "fix_max_iter": 7},
+        {"command": "reg", "config": "y.json", "mode": None, "samples": None, "seed": None,
+         "out_dir": None, "fix_tol": None, "fix_max_iter": None},
+        {"command": "verify", "seed": 0, "corrupt": False},
+    ]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"regflow {rf.__version__}\n"

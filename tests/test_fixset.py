@@ -329,3 +329,37 @@ class TestDykstraStopTest:
         assert len(calls) == k * m + m
         assert result.certified_tol < tol
         assert result.certified_tol == max(s.distance(result.witness) for s in sets)
+
+
+class TestOracleOverflow:
+    """A finite distance whose squares overflow is finite and raises no warning,
+    on the point, affine and Dykstra oracles alike; other rows keep their bits."""
+
+    @staticmethod
+    def oracles():
+        return [rf.SinglePoint([0.0, 0.0]),
+                rf.Intersection([rf.Hyperplane([1.0, 0.0], 0.0),
+                                 rf.Hyperplane([0.0, 1.0], 0.0)]),
+                rf.Intersection([rf.Box([-1.0, -1.0], [1.0, 1.0]),
+                                 rf.Ball([0.0, 0.0], 1.0)])]
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_point_far_beyond_the_squares_range(self, index):
+        oracle = self.oracles()[index]
+        with np.errstate(all="raise"):
+            r = oracle.distance_to([1e200, 0.0])
+        assert r.distance == 1e200 and r.certified_tol <= 1e-12
+        assert np.isfinite(r.witness).all()
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_ordinary_rows_keep_their_bits(self, index):
+        oracle = self.oracles()[index]
+        rows = np.array([[3.0, 4.0], [1e200, 0.0], [0.3, -7e-3], [-2.0, 1e-5]])
+        with np.errstate(all="raise"):
+            batch = oracle.distance_to(rows)
+        assert batch.distance[1] == 1e200
+        ordinary = [0, 2, 3]
+        np.testing.assert_array_equal(batch.distance[ordinary],
+                                      row_norm(rows[ordinary] - batch.witness[ordinary]))
+        for i in ordinary:
+            np.testing.assert_array_equal(batch.witness[i], oracle.distance_to(rows[i]).witness)
