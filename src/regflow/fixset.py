@@ -99,7 +99,11 @@ def dykstra_project(
     movement of its iterate drops below ``tol`` and then its worst constraint
     violation, measured only on such rows, is below ``tol`` too; that violation
     is the row's ``certified_tol``. A movement that overflows reads inf, "still
-    moving", with no warning, and the distance is ``gap_norm``'s. Raises
+    moving", with no warning, and the distance is ``gap_norm``'s. The whole
+    loop runs in that one ``np.errstate(over="ignore")``, so an overflow inside
+    a set's projection gives no overflow warning either; an iterate it turns
+    inf or nan is rejected (UsageError) when that row's violation is measured,
+    so no such row is returned. Raises
     ConvergenceError naming the first failing row, carrying the best iterates
     (their violation measured at the end), if ``max_iter`` cycles are exhausted
     first.
@@ -120,7 +124,8 @@ def dykstra_project(
     out, rows = z.copy(), np.arange(z.shape[0])  # rows: those still cycling
     certified = np.empty(z.shape[0])
     increments = [np.zeros(z.shape) for _ in sets]
-    # a cycle's movement may overflow to inf on finite rows: that row still moves
+    # a cycle's movement may overflow to inf on finite rows: that row still moves.
+    # One scope per query, so projections inside the loop are silenced too.
     with np.errstate(over="ignore"):
         for _ in range(max_iter):
             if not rows.size:

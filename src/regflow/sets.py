@@ -22,8 +22,9 @@ from .validation import as_matrix, as_point, as_vector
 
 # Rank decisions when orthonormalizing affine bases.
 RANK_TOL = 1e-12
-# Batches of at least this many rows are summed by columns in ``row_sum``: about
-# where d array adds start to cost less than one reduction call (numpy 2.4, d <= 7).
+# Batches of at least this many rows are summed by columns in ``row_sum``. Below
+# it one reduction call costs less than d array adds (numpy 2.4.6, x86-64: a
+# (1, 2) row 2.0 us against 4.3 us), and Dykstra runs a point as one such row.
 COLUMN_ROWS = 128
 
 

@@ -85,6 +85,25 @@ def test_row_norm_is_linalg_norm(d, n):
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_a_row_sums_alike_alone_and_in_any_batch(d):
+    # a point takes scalar adds, a small batch add.reduce and a large one array
+    # adds: all three must round each row the same way (a nan's sign aside)
+    def bits(v):
+        v = np.asarray(v, dtype=float)
+        return np.where(np.isnan(v), np.nan, v).view(np.int64)
+
+    big = values((2 * COLUMN_ROWS, d), seed=100 + d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = bits(row_sum(big))
+        alone = bits([row_sum(r) for r in big])
+        small = bits([row_sum(big[i:i + 1])[0] for i in range(len(big))])
+        head = bits(row_sum(big[:COLUMN_ROWS - 1]))
+    np.testing.assert_array_equal(alone, whole)
+    np.testing.assert_array_equal(small, whole)
+    np.testing.assert_array_equal(head, whole[:COLUMN_ROWS - 1])
+
+
 def assert_batch_is_rows(sets, pts, tol=1e-12, max_iter=1000):
     """A Dykstra batch equals one query per row, bit for bit, failures included."""
     def outcome(x):
