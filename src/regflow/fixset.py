@@ -4,7 +4,9 @@ The distance to a fixed-point set is the quantity every rate theorem here is
 phrased in, so oracles return a ``DistanceResult`` carrying the witness point
 and a measured certificate of how well the witness satisfies the constraints,
 not just a number. Oracles answer a point ``(d,)`` or, row-wise, a batch
-``(n, d)``, validated once on entry.
+``(n, d)``, validated once on entry. An intersection of sets is answered in
+closed form where it has one (boxes intersect in a box, one clip; affine sets
+in an affine set, one matrix product) and by Dykstra's algorithm otherwise.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, UsageError
-from .sets import Hyperplane, PrimitiveSet, gap_norm, is_affine, matvec, row_norm
+from .sets import Box, Hyperplane, PrimitiveSet, gap_norm, is_affine, matvec, row_norm
 from .validation import as_point, as_vector
 
 DEFAULT_TOL = 1e-12
@@ -69,6 +71,21 @@ class _FactoredAffine(tuple):
         return self
 
 
+def _box_intersection(boxes: list[Box]) -> Box:
+    """The intersection of boxes, itself a box: per coordinate the largest lower
+    and the smallest upper bound. Raises ConstructionError naming the first
+    coordinate where the two cross, which makes the intersection empty."""
+    lower = reduce(np.maximum, (b.lower for b in boxes))
+    upper = reduce(np.minimum, (b.upper for b in boxes))
+    crossed = np.flatnonzero(lower > upper)
+    if crossed.size:
+        k = crossed[0]
+        raise ConstructionError(
+            f"intersection is empty: on coordinate {k} the largest lower bound "
+            f"{float(lower[k])!r} exceeds the smallest upper bound {float(upper[k])!r}")
+    return Box(lower, upper)
+
+
 def affine_intersection_project(sets: list[PrimitiveSet], x) -> DistanceResult:
     """Exact nearest point of an intersection of hyperplanes/affine subspaces.
 
@@ -101,9 +118,10 @@ def dykstra_project(
     is the row's ``certified_tol``. A movement that overflows reads inf, "still
     moving", with no warning, and the distance is ``gap_norm``'s. The whole
     loop runs in that one ``np.errstate(over="ignore")``, so an overflow inside
-    a set's projection gives no overflow warning either; an iterate it turns
-    inf or nan is rejected (UsageError) when that row's violation is measured,
-    so no such row is returned. Raises
+    a set's projection gives no overflow warning either. An iterate it turns
+    inf or nan moves by nan, neither moving nor stopped: on the first cycle
+    where no row stops, such a row is rejected (UsageError naming it), so no
+    such row is returned and the query does not run on to ``max_iter``. Raises
     ConvergenceError naming the first failing row, carrying the best iterates
     (their violation measured at the end), if ``max_iter`` cycles are exhausted
     first.
@@ -135,9 +153,15 @@ def dykstra_project(
                 shifted = z + increments[i]
                 z = s._project(shifted)
                 increments[i] = shifted - z
-            done = row_norm(z - z_prev) < tol
-            if not done.any():
+            movement = row_norm(z - z_prev)
+            moving = movement >= tol
+            if moving.all():
                 continue
+            done = movement < tol
+            if not done.any():  # neither moving nor stopped: a nan movement
+                raise UsageError(
+                    f"Dykstra iterate at row {rows[np.argmin(moving)]} must be finite "
+                    f"(no NaN/Inf): a projection left the float range")
             # the violation is measured only on rows that stopped moving
             every = done.all()
             violation = _violation(sets, z if every else z[done])
@@ -208,9 +232,15 @@ class SinglePoint(FixSetOracle):
 class Intersection(FixSetOracle):
     """Fix T = intersection of primitive sets (the composite-operator case).
 
-    Nonemptiness is asserted at construction by projecting the origin, so
-    query cost stays predictable. All-affine collections factor their exact
-    projector once; anything else runs Dykstra with this oracle's tolerances.
+    Boxes intersect in one box, built at construction (an empty one is rejected
+    there, naming the coordinate) and queried as an ``ExactSet``: one clip per
+    row. Its distance, witness and certificate are what Dykstra returns on the
+    same boxes, bit for bit, except that a zero taken from a -0.0 bound may
+    differ in sign.
+    All-affine collections factor their exact projector once. Anything else
+    runs Dykstra with this oracle's ``tol`` and ``max_iter``, which matter for
+    it alone. Nonemptiness of a collection that is not all boxes is asserted
+    at construction by projecting the origin, so query cost stays predictable.
     """
 
     def __init__(self, sets: list[PrimitiveSet], tol: float = DEFAULT_TOL,
@@ -230,6 +260,10 @@ class Intersection(FixSetOracle):
         self.max_iter = int(max_iter)
         self._affine = (_FactoredAffine(self.sets)
                         if all(is_affine(s) for s in self.sets) else None)
+        self._box = (ExactSet(_box_intersection(self.sets))
+                     if all(isinstance(s, Box) for s in self.sets) else None)
+        if self._box is not None:  # emptiness is already decided, exactly
+            return
         try:
             probe = self.distance_to(np.zeros(dim))
         except ConvergenceError as exc:
@@ -244,6 +278,10 @@ class Intersection(FixSetOracle):
             )
 
     def distance_to(self, x) -> DistanceResult:
+        if self._box is not None:
+            # Dykstra's first shift, x + 0, turns -0.0 into +0.0 and the witness
+            # keeps it; the distance is the same either way
+            return self._box.distance_to(as_point(x, self.dim) + 0.0)
         if self._affine is not None:
             return affine_intersection_project(self._affine, x)
         return dykstra_project(self.sets, x, tol=self.tol, max_iter=self.max_iter)

@@ -226,6 +226,19 @@ class TestCLIRun:
                      "--out-dir", str(tmp_path)]) == 2
         assert "fix_oracle.max_iter" in capsys.readouterr().err
 
+    def test_empty_box_intersection_exits_2_at_once(self, tmp_path, capsys):
+        boxes = [{"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+                 {"kind": "box", "lower": [0.0, 2.0], "upper": [3.0, 3.0]}]
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(minimal_config(
+            fix_oracle={"kind": "intersection", "sets": boxes})))
+        start = time.perf_counter()
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert "fix_oracle" in err and "empty: on coordinate 1" in err
+        assert "Traceback" not in err
+
     def test_fix_max_iter_beyond_budget_rejected_at_parse_time(self, tmp_path, capsys):
         # ball tangent to a line: Dykstra at tol 1e-300 would cycle until max_iter
         cfg = scenario_config("tangent_ball_line")

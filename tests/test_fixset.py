@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import regflow as rf
 from conftest import pairs_in_ball
+from regflow.flow import MAX_STEPS
 from regflow.scenarios import BUNDLED, certificate_operators, load_scenario
 from regflow.sets import row_norm
 
@@ -363,3 +365,109 @@ class TestOracleOverflow:
                                       row_norm(rows[ordinary] - batch.witness[ordinary]))
         for i in ordinary:
             np.testing.assert_array_equal(batch.witness[i], oracle.distance_to(rows[i]).witness)
+
+
+class TestBoxIntersection:
+    """Boxes intersect in one box: the oracle answers with one clip, and its
+    distance, witness and certificate are Dykstra's, bit for bit."""
+
+    @staticmethod
+    def random_boxes(rng):
+        """1-5 boxes in R^1..R^6 around a common point, so never empty: some share a
+        lower bound or sit an ulp from it, some are flat, some bounds are +0 or -0, and the
+        scale is 1, 1e-300 or 1e150."""
+        d, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        scale = rng.choice([1.0, 1e-300, 1e150])
+        centre = np.where(rng.random(d) < 0.3, 0.0, rng.standard_normal(d) * scale)
+        lower = centre - np.abs(rng.standard_normal((m, d))) * scale
+        upper = centre + np.abs(rng.standard_normal((m, d))) * scale
+        shared = rng.random((m, d)) < 0.3
+        near = np.nextafter(lower[0], rng.choice([-np.inf, np.inf], d))
+        lower = np.where(shared, np.where(rng.random((m, d)) < 0.5, lower[0], near), lower)
+        lower = np.minimum(lower, centre)
+        flat = rng.random((m, d)) < 0.15
+        lower, upper = np.where(flat, centre, lower), np.where(flat, centre, upper)
+        zero = rng.random((m, d)) < 0.1
+        signed = rng.choice([-0.0, 0.0], (2, m, d))
+        lower = np.where(zero & (centre == 0.0), signed[0], lower)
+        upper = np.where(zero & (centre == 0.0), signed[1], upper)
+        return [rf.Box(lo, hi) for lo, hi in zip(lower, upper)]
+
+    @staticmethod
+    def queries(rng, boxes):
+        """Rows far and near at the boxes' scale, rows on their bounds, signed zeros."""
+        d = boxes[0].dim
+        scale = max(max(np.abs(b.lower).max(), np.abs(b.upper).max()) for b in boxes)
+        bounds = np.concatenate([[-0.0, 0.0]] + [np.r_[b.lower, b.upper] for b in boxes])
+        return np.concatenate([rng.standard_normal((20, d)) * 3.0 * max(scale, 1e-300),
+                               rng.choice(bounds, (20, d))])
+
+    def test_equals_dykstra_bit_for_bit(self):
+        rng = np.random.default_rng(1515)
+        for _ in range(300):
+            boxes = self.random_boxes(rng)
+            oracle = rf.Intersection(boxes)
+            assert oracle._affine is None  # box collections stay among the Dykstra-backed
+            pts = self.queries(rng, boxes)
+            bounds = np.concatenate([np.r_[b.lower, b.upper] for b in boxes])
+            # Dykstra's arithmetic decides the sign of a zero taken from a -0.0 bound
+            negative_zero = bool(np.any((bounds == 0.0) & np.signbit(bounds)))
+            for x in (pts, pts[0], pts[-1]):
+                got = oracle.distance_to(x)
+                want = rf.dykstra_project(boxes, x, oracle.tol, oracle.max_iter)
+                assert type(got.distance) is type(want.distance)
+                assert type(got.certified_tol) is type(want.certified_tol)
+                assert np.asarray(got.distance).tobytes() == np.asarray(want.distance).tobytes()
+                assert (np.asarray(got.certified_tol).tobytes()
+                        == np.asarray(want.certified_tol).tobytes())
+                assert got.witness.shape == want.witness.shape
+                if negative_zero:
+                    np.testing.assert_array_equal(got.witness, want.witness)
+                else:
+                    assert got.witness.tobytes() == want.witness.tobytes()
+
+    def test_never_runs_dykstra(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dykstra_project called on a box intersection")
+
+        monkeypatch.setattr(rf.fixset, "dykstra_project", refuse)
+        oracles = [load_scenario("cyclic_three_boxes").oracle,
+                   rf.Intersection([rf.Box([0.0, 0.0], [2.0, 2.0]),
+                                    rf.Box([1.0, 0.5], [3.0, 3.0])])]
+        for oracle in oracles:
+            single = oracle.distance_to([4.0, -1.0])
+            batch = oracle.distance_to([[4.0, -1.0], [1.5, 1.5], [-3.0, 9.0]])
+            np.testing.assert_array_equal(single.witness, batch.witness[0])
+            assert single.certified_tol == 0.0
+
+    def test_empty_intersection_names_the_coordinate_at_once(self):
+        boxes = [rf.Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+                 rf.Box([0.5, np.nextafter(1.0, 2.0), 3.0], [2.0, 2.0, 4.0])]
+        start = time.perf_counter()
+        with pytest.raises(rf.ConstructionError,
+                           match=r"coordinate 1 the largest lower bound "
+                                 r"1\.0000000000000002 exceeds the smallest upper bound 1\.0"):
+            rf.Intersection(boxes)
+        assert time.perf_counter() - start < 0.5
+        # the tolerance checks come first and keep their messages
+        with pytest.raises(rf.ConstructionError, match="tol must be positive"):
+            rf.Intersection(boxes, tol=0.0)
+        with pytest.raises(rf.ConstructionError, match="max_iter must be at least 1"):
+            rf.Intersection(boxes, max_iter=0)
+
+
+class TestDykstraNonFinite:
+    """An iterate that leaves the float range stops the query in the cycle where
+    its movement turns nan, not after max_iter cycles."""
+
+    # <a, x> overflows: the half-space projection of this row is [-inf, nan]
+    SETS = (rf.HalfSpace([1e150, 0.0], 0.0), rf.Box([-1.0, -1.0], [1.0, 1.0]))
+
+    @pytest.mark.parametrize("x, row", [([1e200, 1.0], 0),
+                                        ([[0.5, 0.5], [3.0, 3.0], [1e200, 1.0]], 2)])
+    def test_rejected_at_once_even_at_the_largest_max_iter(self, x, row):
+        start = time.perf_counter()
+        with np.errstate(invalid="ignore"), pytest.raises(
+                rf.UsageError, match=f"row {row} must be finite"):
+            rf.dykstra_project(list(self.SETS), x, max_iter=MAX_STEPS)
+        assert time.perf_counter() - start < 1.0
