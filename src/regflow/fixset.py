@@ -119,9 +119,10 @@ def dykstra_project(
     moving", with no warning, and the distance is ``gap_norm``'s. The whole
     loop runs in that one ``np.errstate(over="ignore")``, so an overflow inside
     a set's projection gives no overflow warning either. An iterate it turns
-    inf or nan moves by nan, neither moving nor stopped: on the first cycle
-    where no row stops, such a row is rejected (UsageError naming it), so no
-    such row is returned and the query does not run on to ``max_iter``. Raises
+    nan, or that stays inf for a cycle, moves by nan, neither moving nor
+    stopped: on the first cycle where no row stops, such a row is rejected
+    (UsageError naming it), so no such row is returned and the query does not
+    run on to ``max_iter``. Raises
     ConvergenceError naming the first failing row, carrying the best iterates
     (their violation measured at the end), if ``max_iter`` cycles are exhausted
     first.
