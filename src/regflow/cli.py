@@ -249,15 +249,15 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
     # 90-degree axis pair is in no scenario
     pts = sample_region(Region(np.zeros(2), 10.0), 500, seed)
     l1, l2 = Hyperplane([0.0, 1.0], 0.0), Hyperplane([1.0, 0.0], 0.0)
-    boxes = continuous["cyclic_three_boxes"].oracle.sets
-    h1, h2 = continuous["dr_two_halfspaces"].oracle.sets
+    boxes = continuous["cyclic_three_boxes"].oracle
+    halves = continuous["dr_two_halfspaces"].oracle
+    h1, h2 = halves.sets
     third = 1.0 / 3.0
-    for ops, weights, fix_sets in (
-        ([projector(l1), projector(l2)], [0.5, 0.5], [l1, l2]),
-        ([projector(b) for b in boxes], [third, third, 1.0 - 2.0 * third], boxes),
-        ([douglas_rachford(h1, h2), douglas_rachford(h2, h1)], [0.5, 0.5], [h1, h2]),
+    for ops, weights, oracle in (
+        ([projector(l1), projector(l2)], [0.5, 0.5], Intersection([l1, l2])),
+        ([projector(b) for b in boxes.sets], [third, third, 1.0 - 2.0 * third], boxes),
+        ([douglas_rachford(h1, h2), douglas_rachford(h2, h1)], [0.5, 0.5], halves),
     ):
-        oracle = Intersection(fix_sets)
         rhos = [1.0] * len(ops)
         record(check_combination_bound(ops, weights, rhos, pts, oracle))
         record(check_composition_bound(ops, rhos, pts, oracle))

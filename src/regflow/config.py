@@ -21,7 +21,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConstructionError, UsageError
-from .fixset import ExactSet, FixSetOracle, Intersection, SinglePoint
+from .fixset import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    ExactSet,
+    FixSetOracle,
+    Intersection,
+    SinglePoint,
+)
 from .flow import (
     MAX_STEPS,
     Constant,
@@ -269,8 +276,9 @@ _OPERATORS = {
 _ORACLES = {
     "exact": (ExactSet, (("set", build_set),)),
     "point": (SinglePoint, (("point", _vector),)),
-    "intersection": (Intersection, (("sets", _nonempty(build_set)), ("tol", _number, 1e-12),
-                                    ("max_iter", _count, 100_000))),
+    "intersection": (Intersection, (("sets", _nonempty(build_set)),
+                                    ("tol", _number, DEFAULT_TOL),
+                                    ("max_iter", _count, DEFAULT_MAX_ITER))),
 }
 
 _SCHEDULES = {

@@ -213,7 +213,10 @@ class ExactSet(FixSetOracle):
     def distance_to(self, x) -> DistanceResult:
         x = as_point(x, self.dim)
         w = self.set._project(x)
-        return DistanceResult(gap_norm(x, w), w, self.set.distance(w))
+        if not np.isfinite(w).all():
+            raise UsageError("the nearest point must be finite (no NaN/Inf): the "
+                             "projection left the float range")
+        return DistanceResult(gap_norm(x, w), w, gap_norm(w, self.set._project(w)))
 
 
 class SinglePoint(FixSetOracle):
@@ -281,8 +284,8 @@ class Intersection(FixSetOracle):
     def distance_to(self, x) -> DistanceResult:
         if self._box is not None:
             # Dykstra's first shift, x + 0, turns -0.0 into +0.0 and the witness
-            # keeps it; the distance is the same either way
-            return self._box.distance_to(as_point(x, self.dim) + 0.0)
+            # keeps it; the distance is the same either way. The box validates x.
+            return self._box.distance_to(np.asarray(x, dtype=float) + 0.0)
         if self._affine is not None:
             return affine_intersection_project(self._affine, x)
         return dykstra_project(self.sets, x, tol=self.tol, max_iter=self.max_iter)

@@ -75,22 +75,6 @@ class LambdaSchedule:
         return False
 
 
-class Constant(LambdaSchedule):
-    def __init__(self, value: float):
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise UsageError(f"lambda must lie in [0,1], got {value}")
-        self.value = value
-        self.inf_value = value
-        self.inf_product = value * (1.0 - value)
-
-    def __call__(self, t):
-        return np.full(np.shape(t), self.value)[()]
-
-    def is_unit_aligned(self) -> bool:
-        return True
-
-
 class PiecewiseConstant(LambdaSchedule):
     """values[i] on [times[i], times[i+1}); the last value extends to infinity."""
 
@@ -119,6 +103,17 @@ class PiecewiseConstant(LambdaSchedule):
 
     def is_unit_aligned(self) -> bool:
         return bool(np.all(np.abs(self.times - np.round(self.times)) < _UNIT_GRID_TOL))
+
+
+class Constant(PiecewiseConstant):
+    """lambda(t) = value: one piece from t = 0."""
+
+    def __init__(self, value: float):
+        value = float(value)
+        if not 0.0 <= value <= 1.0:
+            raise UsageError(f"lambda must lie in [0,1], got {value}")
+        super().__init__([0.0], [value])
+        self.value = value
 
 
 class Sinusoid(LambdaSchedule):

@@ -114,12 +114,7 @@ def fit_decay(
         raise FitError(f"all {t.size} samples in window {win} share one time; "
                        "need two distinct times")
     logy = np.log(y)
-    if model == "exponential":
-        design = t
-    else:
-        if np.any(t <= 0.0):
-            raise UsageError("power-law fits need strictly positive times")
-        design = np.log(t)
+    design = t if model == "exponential" else np.log(t)
     slope, intercept = np.polyfit(design, logy, 1)
     rate = -float(slope)
     if not rate > 0.0:

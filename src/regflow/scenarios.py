@@ -14,7 +14,7 @@ Five instances, each in a continuous and a discrete (``*_km``) variant:
 import json
 from importlib import resources
 
-from .config import Scenario, build_scenario, build_set
+from .config import Scenario, build_scenario, build_set, load_config
 from .fixset import FixSetOracle
 from .operators import Operator, projector
 
@@ -50,11 +50,7 @@ def load_scenario(name: str, **kwargs) -> Scenario:
 
 def resolve_config_source(spec: str) -> dict:
     """Interpret ``spec`` as a bundled scenario name or a config file path."""
-    if spec in BUNDLED:
-        return scenario_config(spec)
-    from .config import load_config
-
-    return load_config(spec)
+    return scenario_config(spec) if spec in BUNDLED else load_config(spec)
 
 
 def certificate_operators(continuous: dict[str, Scenario] | None = None,
