@@ -527,7 +527,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
 
     Records every accepted step, or with ``t_eval`` (increasing, inside
     ``t_span``) the dense output at those times only. A step below ten ulps of t,
-    or more than MAX_STEPS accepted steps, fails the solve (status -1).
+    more than MAX_STEPS accepted steps, or an initial step made nan by a
+    non-finite ``fun`` or ``y0`` at t0 fails the solve (status -1).
     """
     t, tf = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -564,6 +565,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
         ts, ys = [t], [y]
     else:
         t_eval, ts, ys, i_eval = np.asarray(t_eval), [], [], 0
+    if math.isnan(h_abs):  # no step size test is ever true of nan: fail here
+        return result(-1, f"The initial step size is nan: fun or y0 is not finite at "
+                          f"t0 = {t:g}.")
     K = np.empty((7, y.size))
     KT, K5T = K.T, K[:-1].T
     stages = [(_C[s], K[:s].T, _A[s, :s]) for s in range(1, 6)]

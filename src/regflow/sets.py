@@ -154,7 +154,8 @@ class Hyperplane(_Linear):
 
 
 class AffineSubspace(PrimitiveSet):
-    """offset + span(columns of basis); basis may have zero columns (a single point).
+    """offset + span(columns of basis); basis is a (dim, k) matrix, k = 0 for a
+    single point, or one spanning vector.
 
     The basis is orthonormalized once at construction (SVD, rank tolerance
     ``RANK_TOL``), so projection is a single matrix-vector pass and exactly
@@ -164,11 +165,15 @@ class AffineSubspace(PrimitiveSet):
     def __init__(self, basis, offset):
         self.offset = as_vector(offset, name="offset")
         self.dim = self.offset.shape[0]
-        basis = as_matrix(np.asarray(basis, dtype=float).reshape(self.dim, -1), "basis")
-        if basis.shape[0] != self.dim:
+        basis = np.asarray(basis, dtype=float)
+        shape = basis.shape
+        if basis.ndim == 1:  # one spanning vector
+            basis = basis[:, None]
+        if basis.ndim != 2 or basis.shape[0] != self.dim:
             raise ConstructionError(
-                f"basis has {basis.shape[0]} rows, offset has dimension {self.dim}"
-            )
+                f"basis must be a ({self.dim}, k) matrix of k spanning columns or one "
+                f"vector of {self.dim} entries, as offset has {self.dim}; got shape {shape}")
+        basis = as_matrix(basis, "basis")
         if basis.shape[1] == 0:
             self.onb = np.zeros((self.dim, 0))
         else:

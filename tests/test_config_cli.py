@@ -202,6 +202,55 @@ class TestCLIRun:
                 if c.get("name") == "estimate region contains trajectory"]
         assert gate and gate[0]["passed"] is False
 
+    def test_failing_containment_gate_is_printed(self, tmp_path, capsys):
+        # the gate is a check like the others: its failure shows on stdout too
+        cfg = json.loads(json.dumps(scenario_config("two_lines_60deg")))
+        cfg["name"] = "two_lines_bad_region"
+        cfg["regularity"]["region"]["radius"] = 1.0
+        cfg["regularity"]["n_samples"] = 200
+        cfg["integrator"]["sample_dt"] = 0.1
+        path = tmp_path / "bad_region.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+        gate = [line for line in capsys.readouterr().out.splitlines()
+                if "estimate region contains trajectory" in line]
+        assert len(gate) == 1
+        assert gate[0].startswith("FAIL  two_lines_bad_region: estimate region contains "
+                                  "trajectory  max_distance=")
+        assert float(gate[0].rsplit("=", 1)[1]) > 1.0
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("reg", minimal_config(), "fix_oracle"),
+        ("run", [minimal_config()], "$"),
+        ("run", minimal_config(checks=["speed"]), "checks"),
+        ("run", minimal_config(regularity={"seed": 0, "region": {
+            "center": [0.0, 0.0], "radius": 5.0}}), "regularity"),
+        ("run", minimal_config(integrator={"method": "rk45", "t_end": 1.0,
+                                           "sample_dt": 0.3}), "integrator.sample_dt"),
+        ("run", minimal_config(x0="origin"), "x0"),
+        ("run", minimal_config(x0={"random": {"seed": 0, "radius": 0}}),
+         "x0.random.radius"),
+        ("run", minimal_config(rate_fit={"metric": "speed"}), "rate_fit.metric"),
+        ("run", minimal_config(operator={"kind": "compose", "children": []}),
+         "operator.children"),
+        ("run", minimal_config(operator={"kind": "combine", "children": [
+            {"weight": 1.5, "op": {"kind": "identity"}},
+            {"weight": -0.5, "op": {"kind": "identity"}}]}), "operator.children.weights"),
+        ("run", minimal_config(fix_oracle={"kind": "exact", "set": {
+            "kind": "affine", "basis": 1.0, "offset": [0.0, 0.0]}}), "fix_oracle.set.basis"),
+        ("run", minimal_config(integrator=[]), "integrator"),
+    ], ids=["reg_without_oracle", "not_an_object", "unknown_check",
+            "regularity_without_oracle", "uneven_sample_dt", "string_x0", "zero_radius",
+            "unknown_metric", "childless_compose", "negative_weight", "scalar_basis",
+            "list_integrator"])
+    def test_config_error_exits_2_naming_the_field(self, tmp_path, capsys, command, cfg,
+                                                   field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("integrator", [
         {"method": "rk45", "t_end": 1e12, "sample_dt": 1.0},   # 1e12 sample times
         {"method": "euler", "t_end": 1e9, "h": 1e-3},          # 1e12 steps
@@ -640,6 +689,18 @@ class TestVerifyCLI:
         assert main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  unit-step Euler / relaxed iteration bitwise agreement" in out
+
+    def test_unit_step_agreement_checks_the_relaxed_step_itself(self, monkeypatch,
+                                                                capsys):
+        # a relaxed step one ulp off moves both unit-step runs alike; the reference
+        # iteration written in verify still tells them apart
+        step = regflow.flow._relaxed_step
+        monkeypatch.setattr(regflow.flow, "_relaxed_step",
+                            lambda x, lam, tx: np.nextafter(step(x, lam, tx), np.inf))
+        assert main(["verify"]) == 1
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith(("PASS", "FAIL")) and "unit-step Euler" in line]
+        assert len(lines) == 5 and all(line.startswith("FAIL  ") for line in lines)
 
     def test_run_and_verify_print_the_same_trajectory_checks(self, tmp_path, capsys):
         # run prints "PASS  <scenario>: <check>  worst_slack=..." and verify

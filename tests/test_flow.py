@@ -15,6 +15,31 @@ class TestSchedules:
         assert s.inf_product == 0.25 * 0.75
         assert s(0.0) == s(17.3) == 0.25
 
+    @pytest.mark.parametrize("v", [0.0, 5e-324, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7,
+                                   np.nextafter(1.0, 0.0), 1.0, 1])
+    def test_constant_is_one_piece(self, v):
+        # pins the values, infima, breakpoints and alignment a constant had as a
+        # class of its own
+        s = rf.Constant(v)
+        value = float(v)
+        assert s.value == value and type(s.value) is float
+        for t in (0.0, 0.5, 7, 1e12, -1.0):
+            lam = s(t)
+            assert type(lam) is np.float64 and lam.tobytes() == np.float64(value).tobytes()
+        for ts in (np.linspace(0.0, 9.0, 10), np.zeros((2, 3)), np.array([]), [0.0, 3.5]):
+            lam = s(ts)
+            assert lam.dtype == float and lam.shape == np.shape(ts)
+            assert lam.tobytes() == np.full(np.shape(ts), value).tobytes()
+        assert s.inf_value == value and type(s.inf_value) is float
+        assert s.inf_product == value * (1.0 - value) and type(s.inf_product) is float
+        assert s.breakpoints(10.0) == [] and s.breakpoints(0.5) == []
+        assert s.is_unit_aligned() is True
+
+    @pytest.mark.parametrize("v", [-0.1, 1.5, np.nan, np.inf])
+    def test_constant_out_of_range_message(self, v):
+        with pytest.raises(rf.UsageError, match=r"^lambda must lie in \[0,1\], got "):
+            rf.Constant(v)
+
     def test_piecewise_lookup_and_infima(self):
         s = rf.PiecewiseConstant([0.0, 2.0, 5.0], [1.0, 0.25, 0.5])
         assert s(0.0) == 1.0 and s(1.99) == 1.0

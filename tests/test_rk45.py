@@ -6,6 +6,8 @@ right-hand-side evaluations and status on every solve regflow makes. Past
 ``flow.MAX_STEPS`` accepted steps a solve fails instead.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,25 @@ def test_right_side_going_nan_fails_like_scipy(t_eval):
     sol = assert_same(fun, (0.0, 1.0), [1.0, -1.0], rtol=1e-9, atol=1e-12, t_eval=t_eval)
     assert sol.status == -1 and not sol.success
     assert "step size" in sol.message
+
+
+@pytest.mark.parametrize("t_eval", [None, [0.5, 1.0]])
+def test_right_side_nan_at_t0_fails_at_once(t_eval):
+    # a nan initial step passes no step size test: the solve must fail, not spin
+    calls = 0
+
+    def fun(t, y):
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "the solve kept evaluating a nan right-hand side"
+        return np.array([np.nan])
+
+    start = time.perf_counter()
+    sol = flow.solve_ivp(fun, (0.0, 1.0), np.array([1.0]), rtol=1e-6, atol=1e-9,
+                         t_eval=t_eval)
+    assert time.perf_counter() - start < 1.0
+    assert sol.status == -1 and not sol.success
+    assert "initial step size is nan" in sol.message
 
 
 def test_step_budget_fails_the_solve(monkeypatch):

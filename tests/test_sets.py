@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -203,6 +205,22 @@ class TestConstructionErrors:
         hs = rf.HalfSpace([1.0, 0.0], 0.0)
         with pytest.raises(rf.UsageError):
             hs.project([np.nan, 0.0])
+
+
+@pytest.mark.parametrize("basis", [
+    np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),  # two row vectors, not 3 rows
+    np.ones((3, 2, 2)),                             # 3-D
+    np.array([1.0, 0.0]),                           # one vector of the wrong size
+], ids=["rows_as_vectors", "three_d", "short_vector"])
+def test_affine_basis_of_wrong_shape_rejected(basis):
+    with pytest.raises(rf.ConstructionError, match=re.escape(f"got shape {basis.shape}")):
+        rf.AffineSubspace(basis, [0.0, 0.0, 0.0])
+
+
+def test_affine_basis_may_be_one_vector():
+    line = rf.AffineSubspace([1.0, 1.0], [0.0, 0.0])
+    assert line.rank == 1
+    np.testing.assert_allclose(line.project([0.0, 2.0]), [1.0, 1.0])
 
 
 def test_affine_rank_deficient_basis():
