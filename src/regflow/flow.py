@@ -95,8 +95,8 @@ class PiecewiseConstant(LambdaSchedule):
         self.inf_product = float((self.values * (1.0 - self.values)).min())
 
     def __call__(self, t):
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return self.values[np.maximum(idx, 0)]
+        # the number of pieces after the first that start at or before t
+        return self.values[np.searchsorted(self.times[1:], t, side="right")]
 
     def breakpoints(self, t_end: float) -> list[float]:
         return self.times[(self.times > 0.0) & (self.times < t_end)].tolist()
