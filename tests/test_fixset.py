@@ -181,6 +181,15 @@ class TestDistanceProperties:
             for x in xs:
                 assert abs(oracle.distance_to(x).distance - rf.residual(P, x)) <= 1e-12
 
+    def test_exact_query_rejects_a_witness_out_of_float_range(self):
+        # <a, x> overflows: the projection of a finite point is [-inf, nan], and
+        # neither a distance nor a certificate is returned for it
+        oracle = rf.ExactSet(rf.HalfSpace([1e150, 0.0], 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in ([1e200, 1.0], [[1.0, 1.0], [1e200, 1.0]]):
+                with pytest.raises(rf.UsageError, match="must be finite"):
+                    oracle.distance_to(x)
+
     def test_distance_function_is_nonexpansive(self):
         oracles = [
             rf.ExactSet(rf.Ball([0.0, 1.0], 1.0)),
