@@ -44,7 +44,6 @@ from .fixset import (
     Intersection,
     SinglePoint,
     affine_intersection_project,
-    distance_to_fix,
     dykstra_project,
     residual,
 )

@@ -237,7 +237,7 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
         record(rep)
         if rep.passed and op.meta.alpha is not None:
             record(check_averagedness(op, n_pairs=500, seed=seed))
-        if rep.passed and op.meta.rho is not None and (oracle or op.fix_oracle):
+        if rep.passed and op.meta.rho is not None and oracle is not None:
             record(check_sqne(op, oracle, n_points=500, seed=seed))
         if failures:
             print("\nFAILED certificates:\n  " + "\n  ".join(failures))
@@ -321,10 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help=f"config path or one of {', '.join(BUNDLED)}")
     p_run.add_argument("--out-dir", default=None,
                        help="artifact directory (default: $REGFLOW_OUT_DIR or .)")
-    p_run.add_argument("--fix-tol", type=float, default=None,
-                       help="override intersection-oracle tolerance")
-    p_run.add_argument("--fix-max-iter", type=int, default=None,
-                       help="override intersection-oracle iteration cap")
 
     p_ver = sub.add_parser("verify", help="run the verification battery")
     p_ver.add_argument("--seed", type=int, default=0)
@@ -343,14 +339,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--samples", type=int, default=None)
     p_reg.add_argument("--seed", type=int, default=None)
     p_reg.add_argument("--out-dir", default=None)
-    p_reg.add_argument("--fix-tol", type=float, default=None)
-    p_reg.add_argument("--fix-max-iter", type=int, default=None)
     return parser
 
 
 def _cmd_run(args) -> int:
-    scenario = build_scenario(resolve_config_source(args.config), fix_tol=args.fix_tol,
-                              fix_max_iter=args.fix_max_iter)
+    scenario = build_scenario(resolve_config_source(args.config))
     return run_scenario(scenario, _out_dir(args.out_dir))
 
 
@@ -365,9 +358,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_reg(args) -> int:
-    cfg = resolve_config_source(args.config)
-    scenario = build_scenario(cfg, fix_tol=args.fix_tol,
-                              fix_max_iter=args.fix_max_iter)
+    scenario = build_scenario(resolve_config_source(args.config))
     if scenario.oracle is None:
         raise ConfigError("fix_oracle", "regularity estimation needs a fix_oracle")
     reg = scenario.regularity or {

@@ -218,12 +218,7 @@ def build_operator(node, path: str, dim: int) -> Operator:
     return _build(_OPERATORS, "operator", node, path, dim)
 
 
-def build_oracle(node, path: str, dim: int,
-                 fix_tol: Optional[float] = None,
-                 fix_max_iter: Optional[int] = None) -> FixSetOracle:
-    if isinstance(node, dict):  # an override replaces the field and is validated like it
-        overrides = {"tol": fix_tol, "max_iter": fix_max_iter}
-        node = {**node, **{k: v for k, v in overrides.items() if v is not None}}
+def build_oracle(node, path: str, dim: int) -> FixSetOracle:
     return _build(_ORACLES, "oracle", node, path, dim)
 
 
@@ -351,8 +346,7 @@ def _block(cfg: dict, key: str, fields, dim: int) -> Optional[dict]:
                  fields, node, key, dim)
 
 
-def build_scenario(cfg: dict, fix_tol: Optional[float] = None,
-                   fix_max_iter: Optional[int] = None) -> Scenario:
+def build_scenario(cfg: dict) -> Scenario:
     """Validate a parsed config dict and construct every object it describes."""
     if not isinstance(cfg, dict):
         raise ConfigError("$", "config must be a JSON object")
@@ -375,8 +369,7 @@ def build_scenario(cfg: dict, fix_tol: Optional[float] = None,
 
     oracle = None
     if "fix_oracle" in cfg:
-        oracle = build_oracle(cfg["fix_oracle"], "fix_oracle", dim,
-                              fix_tol=fix_tol, fix_max_iter=fix_max_iter)
+        oracle = build_oracle(cfg["fix_oracle"], "fix_oracle", dim)
 
     outputs = cfg.get("outputs", [])
     if not isinstance(outputs, list) or any(o not in OUTPUT_KINDS for o in outputs):

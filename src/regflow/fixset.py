@@ -289,8 +289,3 @@ class Intersection(FixSetOracle):
         if self._affine is not None:
             return affine_intersection_project(self._affine, x)
         return dykstra_project(self.sets, x, tol=self.tol, max_iter=self.max_iter)
-
-
-def distance_to_fix(oracle: FixSetOracle, x) -> DistanceResult:
-    """d(x, Fix T) for the declared oracle."""
-    return oracle.distance_to(x)

@@ -527,8 +527,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
 
     Records every accepted step, or with ``t_eval`` (increasing, inside
     ``t_span``) the dense output at those times only. A step below ten ulps of t,
-    more than MAX_STEPS accepted steps, or an initial step made nan by a
-    non-finite ``fun`` or ``y0`` at t0 fails the solve (status -1).
+    more than MAX_STEPS accepted steps, or an initial step that is not positive
+    (nan or 0, from a ``fun`` or ``y0`` at t0 that is not finite or overflows the
+    step-size norms) fails the solve (status -1).
     """
     t, tf = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -550,24 +551,29 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
             return OdeResult(np.empty(0), np.empty((y.size, 0)), nfev, status, message)
         return OdeResult(np.hstack(ts), np.hstack(ys), nfev, status, message)
 
-    # the initial step (Hairer, Norsett & Wanner, II.4)
+    # the initial step (Hairer, Norsett & Wanner, II.4); a fun or y0 at t0 that is
+    # not finite, or overflows the norms, leaves h0 nan or 0: no warning, a failure
     f = rhs(t, y)
     scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tf - t)
-    d2 = _rms((rhs(t + h0, y + h0 * f) - f) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h_abs = min(100 * h0, max(1e-6, h0 * 1e-3), tf - t)
-    else:
-        h_abs = min(100 * h0, (0.01 / max(d1, d2)) ** (1 / 5), tf - t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tf - t)
+        y1 = y + h0 * f
+    f1 = rhs(t + h0, y1)
 
     if t_eval is None:
         ts, ys = [t], [y]
     else:
         t_eval, ts, ys, i_eval = np.asarray(t_eval), [], [], 0
-    if math.isnan(h_abs):  # no step size test is ever true of nan: fail here
-        return result(-1, f"The initial step size is nan: fun or y0 is not finite at "
-                          f"t0 = {t:g}.")
+    if not h0 > 0:  # nan passes no step size test, and d2 divides by h0: fail here
+        return result(-1, f"The initial step size is {h0:g}: fun or y0 is not finite, "
+                          f"or too large, at t0 = {t:g}.")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = _rms((f1 - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h_abs = min(100 * h0, max(1e-6, h0 * 1e-3), tf - t)
+    else:
+        h_abs = min(100 * h0, (0.01 / max(d1, d2)) ** (1 / 5), tf - t)
     K = np.empty((7, y.size))
     KT, K5T = K.T, K[:-1].T
     stages = [(_C[s], K[:s].T, _A[s, :s]) for s in range(1, 6)]

@@ -14,7 +14,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionError, UsageError
-from .fixset import ExactSet, FixSetOracle
 from .sets import Ball, Box, HalfSpace, Hyperplane, AffineSubspace, PrimitiveSet, matvec
 from .validation import as_matrix, as_point, as_vector
 
@@ -63,12 +62,11 @@ class OperatorMeta:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """A deterministic self-map of R^dim with metadata and an optional Fix-set oracle."""
+    """A deterministic self-map of R^dim with metadata; it carries no Fix-set oracle."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     dim: int
     meta: OperatorMeta = field(default_factory=OperatorMeta)
-    fix_oracle: Optional[FixSetOracle] = None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.fn(as_point(x, self.dim)), dtype=float)
@@ -164,7 +162,7 @@ def identity(dim: int) -> Operator:
 def projector(set_: PrimitiveSet) -> Operator:
     """Nearest-point projector; firmly nonexpansive, i.e. 1/2-averaged and 1-SQNE."""
     meta = OperatorMeta(label=f"P[{set_.describe()}]", alpha=0.5)
-    return Operator(set_._project, set_.dim, meta, fix_oracle=ExactSet(set_))
+    return Operator(set_._project, set_.dim, meta)
 
 
 def reflect(set_: PrimitiveSet) -> Operator:
@@ -174,15 +172,14 @@ def reflect(set_: PrimitiveSet) -> Operator:
         return 2.0 * set_._project(x) - x
 
     meta = OperatorMeta(label=f"R[{set_.describe()}]")
-    return Operator(fn, set_.dim, meta, fix_oracle=ExactSet(set_))
+    return Operator(fn, set_.dim, meta)
 
 
-def douglas_rachford(set_l: PrimitiveSet, set_j: PrimitiveSet,
-                     fix_oracle: Optional[FixSetOracle] = None) -> Operator:
+def douglas_rachford(set_l: PrimitiveSet, set_j: PrimitiveSet) -> Operator:
     """x -> x + P_j(2 P_l x - x) - P_l x, the half-averaged reflect-reflect map.
 
-    The fixed-point set is not derived from the two sets (it can be larger
-    than their intersection); declare it via ``fix_oracle`` when known.
+    The fixed-point set is not derived from the two sets: it can be larger
+    than their intersection, so the oracle passed with it must name it.
     """
     if set_l.dim != set_j.dim:
         raise UsageError("Douglas-Rachford sets must share one dimension")
@@ -192,17 +189,15 @@ def douglas_rachford(set_l: PrimitiveSet, set_j: PrimitiveSet,
         return x + set_j._project(2.0 * pl - x) - pl
 
     meta = OperatorMeta(label=f"DR[{set_l.describe()}, {set_j.describe()}]", alpha=0.5)
-    return Operator(fn, set_l.dim, meta, fix_oracle=fix_oracle)
+    return Operator(fn, set_l.dim, meta)
 
 
-def forward_backward(g: SimpleFunction, Q, c, lipschitz: float, step: float,
-                     fix_oracle: Optional[FixSetOracle] = None) -> Operator:
+def forward_backward(g: SimpleFunction, Q, c, lipschitz: float, step: float) -> Operator:
     """x -> prox_{step*g}(x - step*(Qx - c)) for the smooth part 1/2 x'Qx - c'x.
 
     ``lipschitz`` must bound the largest eigenvalue of Q; the admissible step
     range (0, 2/lipschitz) is what certifies alpha = 2/(4 - step*lipschitz).
-    The fixed-point set (the constrained minimizers) is declared via
-    ``fix_oracle`` when known, never inferred.
+    The fixed-point set (the constrained minimizers) is never inferred.
     """
     smooth = Quadratic(Q, c)
     Q, c, dim = smooth.Q, smooth.c, smooth.dim
@@ -225,7 +220,7 @@ def forward_backward(g: SimpleFunction, Q, c, lipschitz: float, step: float,
 
     alpha = 2.0 / (4.0 - step * lipschitz)
     meta = OperatorMeta(label="forward_backward", alpha=alpha)
-    return Operator(fn, dim, meta, fix_oracle=fix_oracle)
+    return Operator(fn, dim, meta)
 
 
 def convex_combination(ops: list[Operator], weights) -> Operator:
@@ -294,4 +289,4 @@ def relax(op: Operator, lam: float) -> Operator:
 
     alpha = lam if 0.0 < lam < 1.0 else None
     meta = OperatorMeta(label=f"relax[{op.label}, {lam:g}]", alpha=alpha)
-    return Operator(fn, op.dim, meta, fix_oracle=op.fix_oracle if lam > 0.0 else None)
+    return Operator(fn, op.dim, meta)

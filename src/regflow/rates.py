@@ -98,7 +98,8 @@ def fit_decay(
 
     Returns None when the metric is identically zero in the window (the run
     already converged; nothing to fit). Raises FitError when fewer than 10
-    positive samples, or fewer than two distinct times, are available.
+    positive samples, or fewer than two distinct times, are available, or when
+    the fitted constant M leaves the float range.
     """
     if model not in ("exponential", "powerlaw"):
         raise UsageError(f"model must be 'exponential' or 'powerlaw', got {model!r}")
@@ -121,7 +122,12 @@ def fit_decay(
         raise FitError(f"{model} fit gave nonpositive decay rate {rate:.3g}")
     pred = intercept + slope * design
     rss = float(np.sum((logy - pred) ** 2))
-    return RateFit(model, float(np.exp(intercept)), rate, rss, int(t.size), win)
+    with np.errstate(over="ignore"):
+        constant = float(np.exp(intercept))
+    if not math.isfinite(constant):
+        raise FitError(f"{model} fit constant M = exp({float(intercept):.6g}) leaves the "
+                       "float range")
+    return RateFit(model, constant, rate, rss, int(t.size), win)
 
 
 def select_model(

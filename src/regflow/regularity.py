@@ -395,16 +395,12 @@ def check_averagedness(op: Operator, n_pairs: int = 500, seed: int = 0,
     return _report(f"averagedness certificate [{op.label}]", slacks, CERTIFICATE_TOL)
 
 
-def check_sqne(op: Operator, oracle: Optional[FixSetOracle] = None,
-               n_points: int = 500, seed: int = 0,
+def check_sqne(op: Operator, oracle: FixSetOracle, n_points: int = 500, seed: int = 0,
                radius: float = 10.0) -> InequalityReport:
-    """Sampled certificate for meta.rho against the nearest fixed point:
-    ||Tx - x*||^2 + rho ||x - Tx||^2 <= ||x - x*||^2."""
+    """Sampled certificate for meta.rho against the nearest point x* of Fix T,
+    as ``oracle`` declares it: ||Tx - x*||^2 + rho ||x - Tx||^2 <= ||x - x*||^2."""
     if op.meta.rho is None:
         raise UsageError(f"operator {op.label} declares no SQNE modulus")
-    oracle = oracle or op.fix_oracle
-    if oracle is None:
-        raise UsageError(f"operator {op.label} has no fixed-set oracle")
     rho = op.meta.rho
     x = sample_region(Region(np.zeros(op.dim), radius), n_points, seed)
     x_star = oracle.distance_to(x).witness

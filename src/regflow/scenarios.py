@@ -15,7 +15,7 @@ import json
 from importlib import resources
 
 from .config import Scenario, build_scenario, build_set, load_config
-from .fixset import FixSetOracle
+from .fixset import ExactSet, FixSetOracle
 from .operators import Operator, projector
 
 BUNDLED = (
@@ -43,9 +43,9 @@ def scenario_config(name: str) -> dict:
     return json.loads(ref.read_text())
 
 
-def load_scenario(name: str, **kwargs) -> Scenario:
-    """Build a bundled scenario (kwargs forwarded to build_scenario)."""
-    return build_scenario(scenario_config(name), **kwargs)
+def load_scenario(name: str) -> Scenario:
+    """Build a bundled scenario."""
+    return build_scenario(scenario_config(name))
 
 
 def resolve_config_source(spec: str) -> dict:
@@ -69,6 +69,6 @@ def certificate_operators(continuous: dict[str, Scenario] | None = None,
                      "operator.children[0].set", tangent.dim)
     sets = [*lines.oracle.sets, ball, *dr.oracle.sets, *boxes.oracle.sets]
     # forward-backward stays unpaired: its point oracle would add an SQNE line
-    return ([(p, p.fix_oracle) for p in map(projector, sets)]
+    return ([(projector(s), ExactSet(s)) for s in sets]
             + [(sc.operator, sc.oracle) for sc in (lines, tangent, dr)]
             + [(fb.operator, None), (boxes.operator, boxes.oracle)])

@@ -127,15 +127,6 @@ class TestConfigValidation:
         with pytest.raises(rf.ConfigError):
             build_scenario(minimal_config(schedule={"kind": "mystery", "value": 1.0}))
 
-    def test_fix_tol_override(self):
-        cfg = minimal_config(fix_oracle={
-            "kind": "intersection",
-            "sets": [{"kind": "halfspace", "normal": [1.0, 0.0], "offset": 0.0},
-                     {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.0}],
-        })
-        sc = build_scenario(cfg, fix_tol=1e-8, fix_max_iter=500)
-        assert sc.oracle.tol == 1e-8 and sc.oracle.max_iter == 500
-
 
 class TestCLIRun:
     def test_run_bundled_km_scenario(self, tmp_path):
@@ -263,17 +254,17 @@ class TestCLIRun:
         assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "integrator" in capsys.readouterr().err
 
-    def test_fix_tol_override_validated_like_field(self, tmp_path, capsys):
-        assert main(["run", "dr_two_halfspaces_km", "--fix-tol", "inf",
-                     "--out-dir", str(tmp_path)]) == 2
-        assert "fix_oracle.tol" in capsys.readouterr().err
-
+    @pytest.mark.parametrize("field, value", [("tol", "1e400"), ("max_iter", "0")])
     @pytest.mark.parametrize("scenario", ["dr_two_halfspaces_km", "two_lines_60deg_km"])
-    def test_zero_fix_max_iter_exits_2(self, tmp_path, capsys, scenario):
-        # Dykstra and the all-affine solve alike: the cap is rejected, not the sets
-        assert main(["run", scenario, "--fix-max-iter", "0",
-                     "--out-dir", str(tmp_path)]) == 2
-        assert "fix_oracle.max_iter" in capsys.readouterr().err
+    def test_fix_oracle_field_out_of_range_exits_2(self, tmp_path, capsys, scenario,
+                                                   field, value):
+        # Dykstra and the all-affine solve alike: the field is rejected, not the sets
+        cfg = scenario_config(scenario)
+        cfg["fix_oracle"][field] = "VALUE"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"VALUE"', value))  # JSON reads 1e400 as inf
+        assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        assert f"fix_oracle.{field}" in capsys.readouterr().err
 
     def test_empty_box_intersection_exits_2_at_once(self, tmp_path, capsys):
         boxes = [{"kind": "box", "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
@@ -451,6 +442,17 @@ class TestCLIRun:
         assert code == 2 and "x must be finite" in err and "Traceback" not in err
         assert elapsed < 10.0
 
+    def test_rk45_far_plane_fails_the_initial_step(self, tmp_path, capsys):
+        # x0 is finite but T(x0) - x0 ~ 1e150 overflows the step-size norms: h0 = 0
+        plane = {"kind": "hyperplane", "normal": [1.0, 0.0], "offset": 1e150}
+        cfg = minimal_config(operator={"kind": "project", "set": plane},
+                             integrator={"method": "rk45", "t_end": 1.0}, x0=[1.0, 1.0])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "initial step size is 0" in err and "Traceback" not in err
+
     def test_byte_identical_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "dr_two_halfspaces_km", "--out-dir", str(a)]) == 0
@@ -481,6 +483,14 @@ class TestCLIRate:
         doc = json.loads(out[out.index("{"):])
         assert doc["chosen"] == "exponential"
         assert doc["exponential"]["rate"] > 0
+
+    def test_rate_constant_outside_float_range_exits_3(self, tmp_path, capsys):
+        rows = "".join(f"{i * 1e300!r},0,{0.5 ** i!r},{0.5 ** i!r},0\n" for i in range(20))
+        path = tmp_path / "traj.csv"
+        path.write_text(self.HEADER + rows)
+        assert main(["rate", str(path), "--model", "pow"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "powerlaw fit constant M" in captured.err
 
     def test_rate_missing_file_is_usage_error(self, tmp_path):
         assert main(["rate", str(tmp_path / "none.csv")]) == 2
@@ -902,19 +912,18 @@ def test_one_parser_per_process_keeps_no_state(monkeypatch, capsys):
         monkeypatch.setitem(regflow.cli._COMMANDS, command,
                             lambda args: seen.append(vars(args)) or 0)
     assert main(["reg", "two_lines_60deg", "--mode", "hoelder", "--samples", "50",
-                 "--seed", "3", "--out-dir", "a", "--fix-tol", "1e-9"]) == 0
+                 "--seed", "3", "--out-dir", "a"]) == 0
     assert main(["verify", "--corrupt", "--seed", "2"]) == 0
-    assert main(["run", "x.json", "--fix-max-iter", "7"]) == 0
+    assert main(["run", "x.json"]) == 0
     assert main(["reg", "y.json"]) == 0
     assert main(["verify"]) == 0
     assert seen == [
         {"command": "reg", "config": "two_lines_60deg", "mode": "hoelder", "samples": 50,
-         "seed": 3, "out_dir": "a", "fix_tol": 1e-9, "fix_max_iter": None},
+         "seed": 3, "out_dir": "a"},
         {"command": "verify", "seed": 2, "corrupt": True},
-        {"command": "run", "config": "x.json", "out_dir": None, "fix_tol": None,
-         "fix_max_iter": 7},
+        {"command": "run", "config": "x.json", "out_dir": None},
         {"command": "reg", "config": "y.json", "mode": None, "samples": None, "seed": None,
-         "out_dir": None, "fix_tol": None, "fix_max_iter": None},
+         "out_dir": None},
         {"command": "verify", "seed": 0, "corrupt": False},
     ]
     for _ in range(2):

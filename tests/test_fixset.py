@@ -124,11 +124,34 @@ class TestOracles:
         with pytest.raises(rf.ConstructionError, match="max_iter"):
             rf.Intersection(sets, max_iter=0)
 
-    def test_distance_to_fix_dispatch(self):
-        oracle = rf.Intersection([rf.HalfSpace([1.0, 0.0], 0.0),
-                                  rf.HalfSpace([0.0, 1.0], 0.0)])
-        r = rf.distance_to_fix(oracle, [1.0, 1.0])
-        assert r.distance == pytest.approx(np.sqrt(2.0), abs=1e-10)
+
+EMPTY_BATCH_ORACLES = {
+    "dykstra": lambda: rf.Intersection([rf.HalfSpace([1.0, 0.0], 0.0),
+                                        rf.Ball([0.0, 1.0], 1.0)]),
+    "affine": lambda: rf.Intersection([rf.Hyperplane([1.0, 0.0], 0.0),
+                                       rf.Hyperplane([0.0, 1.0], 0.0)]),
+    "box": lambda: rf.Intersection([rf.Box([0.0, 0.0], [2.0, 2.0]),
+                                    rf.Box([1.0, 0.5], [3.0, 3.0])]),
+    "exact": lambda: rf.ExactSet(rf.Ball([0.0, 1.0], 1.0)),
+    "point": lambda: rf.SinglePoint([1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("kind", EMPTY_BATCH_ORACLES)
+def test_empty_batch_returns_empty_fields(kind, monkeypatch):
+    oracle = EMPTY_BATCH_ORACLES[kind]()
+    projections = 0
+    if kind == "dykstra":  # no rows cycle, so no set is projected onto at all
+        for s in oracle.sets:
+            def counted(x, project=s._project):
+                nonlocal projections
+                projections += 1
+                return project(x)
+            monkeypatch.setattr(s, "_project", counted)
+    r = oracle.distance_to(np.empty((0, 2)))
+    assert np.shape(r.distance) == (0,) and np.shape(r.certified_tol) == (0,)
+    assert r.witness.shape == (0, 2)
+    assert projections == 0
 
 
 class TestCompositeFixedSets:

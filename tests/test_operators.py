@@ -264,7 +264,6 @@ class TestCertificates:
     def test_sqne_certificate(self):
         for op, oracle in certified_operator_corpus():
             rho = op.meta.rho
-            oracle = oracle or op.fix_oracle
             if rho is None or oracle is None:
                 continue
             xs, _ = pairs_in_ball(500, op.dim, seed=12)

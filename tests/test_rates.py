@@ -73,6 +73,13 @@ class TestFitDecay:
         with pytest.raises(rf.FitError):
             rf.fit_decay(traj, "residual", "exponential", window=(0.0, 5.0))
 
+    def test_constant_outside_float_range_raises(self):
+        # t up to 1.9e301 with halving values: log M = 4702, so M = exp(4702) = inf
+        t = np.arange(20) * 1e300
+        traj = synthetic_traj(t, 0.5 ** np.arange(20))
+        with pytest.raises(rf.FitError, match="powerlaw fit constant M"):
+            rf.fit_decay(traj, "residual", "powerlaw")
+
     def test_growing_series_raises(self):
         t = np.linspace(0.0, 5.0, 30)
         traj = synthetic_traj(t, np.exp(+t))

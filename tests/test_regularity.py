@@ -367,10 +367,11 @@ class TestCoreIdentities:
 
 class TestCertificateCheckers:
     def test_pass_on_projector(self):
-        P = rf.projector(rf.Ball([0.0, 1.0], 1.0))
+        ball = rf.Ball([0.0, 1.0], 1.0)
+        P = rf.projector(ball)
         assert check_nonexpansiveness(P).passed
         assert check_averagedness(P).passed
-        assert check_sqne(P).passed
+        assert check_sqne(P, rf.ExactSet(ball)).passed
 
     def test_fail_on_expansive(self):
         bad = rf.Operator(lambda x: 1.2 * x, 2, rf.OperatorMeta(label="bad"))

@@ -108,6 +108,16 @@ def test_right_side_nan_at_t0_fails_at_once(t_eval):
     assert "initial step size is nan" in sol.message
 
 
+@pytest.mark.parametrize("value", [np.inf, 1e300, np.nan])
+def test_right_side_not_finite_or_too_large_at_t0_fails_without_warning(value):
+    # inf, or 1e300 whose norm overflows, makes h0 = 0 and nan makes it nan; the
+    # solve fails with status -1 (RuntimeWarnings are errors in this suite)
+    sol = flow.solve_ivp(lambda t, y: np.array([value]), (0.0, 1.0), np.array([1.0]),
+                         rtol=1e-6, atol=1e-9)
+    assert sol.status == -1 and not sol.success
+    assert "initial step size is" in sol.message and sol.nfev == 2
+
+
 def test_step_budget_fails_the_solve(monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     sol = flow.solve_ivp(lambda t, y: -y, (0.0, 10.0), [1.0], rtol=1e-9, atol=1e-12)
