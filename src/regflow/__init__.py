@@ -25,13 +25,11 @@ from .operators import (
     OperatorMeta,
     Quadratic,
     SimpleFunction,
-    apply,
     compose,
     convex_combination,
     douglas_rachford,
     forward_backward,
     identity,
-    project,
     projector,
     prox,
     reflect,

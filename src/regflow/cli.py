@@ -103,9 +103,9 @@ def _print_check(tag: str, passed: bool, value: float, value_name: str) -> None:
 # trajectory, x*), x* the fixed point nearest x0, to an InequalityReport.
 _TRAJECTORY_CHECKS = {
     "avg_inequality": lambda sc, traj, x_star: check_avg_inequality(
-        traj, sc.operator, x_star, sc.schedule),
+        traj, sc.operator, x_star),
     "descent": lambda sc, traj, x_star: check_descent(
-        traj, sc.operator, sc.oracle, x_star, sc.schedule),
+        traj, sc.operator, sc.oracle, x_star),
 }
 
 
@@ -167,10 +167,10 @@ def _run_stages(scenario: Scenario, out_dir: Path, report: dict) -> int:
         report["rate_fit"] = fit_doc
 
     if scenario.checks:
-        nearest = scenario.oracle.distance_to(scenario.x0)
+        x_star = scenario.oracle.distance_to(scenario.x0).witness
         for check in scenario.checks:
             if check != "rate_bound":
-                rep = _TRAJECTORY_CHECKS[check](scenario, traj, nearest.witness)
+                rep = _TRAJECTORY_CHECKS[check](scenario, traj, x_star)
                 report["checks"].append(rep.to_dict())
                 _print_check(f"{name}: {rep.name}", rep.passed, rep.worst_slack,
                              "worst_slack")
@@ -187,11 +187,10 @@ def _run_stages(scenario: Scenario, out_dir: Path, report: dict) -> int:
             if x_bar is None and isinstance(scenario.oracle, SinglePoint):
                 x_bar = scenario.oracle.point
             if estimate.mode == "linear":
-                bc = check_linear_rate_bound(traj, estimate.kappa, scenario.schedule,
-                                             d0=nearest.distance, x_bar=x_bar)
+                bc = check_linear_rate_bound(traj, estimate.kappa, x_bar=x_bar)
             else:
                 bc = check_hoelder_rate_bound(traj, estimate.kappa, estimate.gamma,
-                                              scenario.schedule, x_bar=x_bar)
+                                              x_bar=x_bar)
             report["checks"].append(bc.to_dict())
             for bname, margin in bc.margins.items():
                 _print_check(f"{name}: {bc.bound_name} [{bname}]",

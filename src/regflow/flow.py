@@ -336,10 +336,16 @@ def sample_metrics(traj: Trajectory, op: Operator,
 
     Oracle failures propagate with the index of the offending sample.
     """
+    return _finalize(op, _schedule_of(traj), oracle, traj.times(), traj.states(),
+                     traj.mode, dict(traj.info), [s.dist_fix for s in traj.samples])
+
+
+def _schedule_of(traj: Trajectory) -> LambdaSchedule:
+    """The schedule that drove ``traj``, the only lambda its checks read; a
+    trajectory read from CSV carries none."""
     if traj.schedule is None:
-        raise UsageError("trajectory carries no schedule; cannot recompute speed")
-    return _finalize(op, traj.schedule, oracle, traj.times(), traj.states(), traj.mode,
-                     dict(traj.info), [s.dist_fix for s in traj.samples])
+        raise UsageError("trajectory carries no schedule (read from CSV?)")
+    return traj.schedule
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +392,11 @@ def _march(op: Operator, x0: np.ndarray, schedule: LambdaSchedule,
                 # strictly increasing already: want is, and inside lies below b
                 inside = want[(want > a + 1e-15) & (want < b - 1e-15)]
                 t_eval = np.concatenate([inside, [b]])
-            sol = solve_ivp(field(lam), (a, b), x, rtol=config.rel_tol,
-                            atol=config.abs_tol, t_eval=t_eval)
+            # a stage that overflows is rejected by op(y) itself ("x must be
+            # finite"), not by a numpy warning from the field
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solve_ivp(field(lam), (a, b), x, rtol=config.rel_tol,
+                                atol=config.abs_tol, t_eval=t_eval)
             nfev += sol.nfev
             if not sol.success:
                 partial = _finalize(op, schedule, oracle, np.concatenate(times),
@@ -527,9 +536,9 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
 
     Records every accepted step, or with ``t_eval`` (increasing, inside
     ``t_span``) the dense output at those times only. A step below ten ulps of t,
-    more than MAX_STEPS accepted steps, or an initial step that is not positive
-    (nan or 0, from a ``fun`` or ``y0`` at t0 that is not finite or overflows the
-    step-size norms) fails the solve (status -1).
+    more than MAX_STEPS accepted steps, a ``fun`` at t0 that is not finite, or an
+    initial step that is not positive (nan or 0, from a ``y0`` that is not finite
+    or a ``fun`` that overflows the step-size norms) fails the solve (status -1).
     """
     t, tf = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -552,7 +561,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
         return OdeResult(np.hstack(ts), np.hstack(ys), nfev, status, message)
 
     # the initial step (Hairer, Norsett & Wanner, II.4); a fun or y0 at t0 that is
-    # not finite, or overflows the norms, leaves h0 nan or 0: no warning, a failure
+    # not finite, or overflows the norms, fails the solve without a warning (a
+    # small y0 takes h0 = 1e-6 whatever fun is, so fun is tested itself)
     f = rhs(t, y)
     scale = atol + np.abs(y) * rtol
     with np.errstate(over="ignore", invalid="ignore"):
@@ -565,7 +575,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
         ts, ys = [t], [y]
     else:
         t_eval, ts, ys, i_eval = np.asarray(t_eval), [], [], 0
-    if not h0 > 0:  # nan passes no step size test, and d2 divides by h0: fail here
+    if not (h0 > 0 and np.isfinite(f).all()):  # d2 divides by h0; nan passes no step test
         return result(-1, f"The initial step size is {h0:g}: fun or y0 is not finite, "
                           f"or too large, at t0 = {t:g}.")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -19,7 +19,7 @@ from .validation import as_matrix, as_point, as_vector
 
 __all__ = [
     "OperatorMeta", "Operator", "SimpleFunction", "Indicator", "L1Norm",
-    "Quadratic", "project", "prox", "apply", "identity", "projector",
+    "Quadratic", "prox", "identity", "projector",
     "reflect", "douglas_rachford", "forward_backward", "convex_combination",
     "compose", "relax",
     "HalfSpace", "Hyperplane", "AffineSubspace", "Box", "Ball", "PrimitiveSet",
@@ -34,14 +34,13 @@ class OperatorMeta:
 
     alpha in (0,1) means T = (1-alpha)Id + alpha R with R nonexpansive; such a
     T has SQNE modulus rho = (1-alpha)/alpha, so setting alpha fills rho in.
-    ``weights``/``children`` record the constituents of combinators so that
-    downstream inequality checks can consume the per-constituent moduli.
+    ``children`` records the constituents of combinators so that downstream
+    inequality checks can consume the per-constituent moduli.
     """
 
     label: str = ""
     alpha: Optional[float] = None
     rho: Optional[float] = None
-    weights: Optional[tuple[float, ...]] = None
     children: tuple["OperatorMeta", ...] = ()
 
     def __post_init__(self):
@@ -74,16 +73,6 @@ class Operator:
     @property
     def label(self) -> str:
         return self.meta.label or "operator"
-
-
-def apply(op: Operator, x) -> np.ndarray:
-    """Evaluate ``op`` at ``x``. Pure; dimension-checked."""
-    return op(x)
-
-
-def project(set_: PrimitiveSet, x) -> np.ndarray:
-    """Nearest point of ``set_`` to ``x``."""
-    return set_.project(x)
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +227,14 @@ def convex_combination(ops: list[Operator], weights) -> Operator:
     if any(op.dim != dim for op in ops):
         raise UsageError("all operators must share one dimension")
 
-    w = tuple(weights)
-
     def fn(x):
         out = np.zeros_like(x)
-        for wi, op in zip(w, ops):
+        for wi, op in zip(weights, ops):
             out = out + wi * op.fn(x)
         return out
 
     meta = OperatorMeta(
         label="combination[" + ", ".join(op.label for op in ops) + "]",
-        weights=w,
         children=tuple(op.meta for op in ops),
     )
     return Operator(fn, dim, meta)

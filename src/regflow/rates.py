@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import FitError, NumericRangeError, UsageError
-from .flow import LambdaSchedule, Trajectory, solve_ivp
-from .regularity import InequalityReport, _report, _schedule, record_dict
+from .flow import Trajectory, _schedule_of, solve_ivp
+from .regularity import InequalityReport, _report, record_dict
 from .sets import row_norm
 from .validation import as_vector
 
@@ -99,7 +99,8 @@ def fit_decay(
     Returns None when the metric is identically zero in the window (the run
     already converged; nothing to fit). Raises FitError when fewer than 10
     positive samples, or fewer than two distinct times, are available, or when
-    the fitted constant M leaves the float range.
+    the squares of the fit variable (t or log t) or the fitted constant M leave
+    the float range.
     """
     if model not in ("exponential", "powerlaw"):
         raise UsageError(f"model must be 'exponential' or 'powerlaw', got {model!r}")
@@ -116,6 +117,11 @@ def fit_decay(
                        "need two distinct times")
     logy = np.log(y)
     design = t if model == "exponential" else np.log(t)
+    with np.errstate(over="ignore"):
+        squares = np.sum(design * design)  # what polyfit scales its design column by
+    if not math.isfinite(squares):
+        raise FitError(f"{model} fit in window {win}: the squares of the fit variable "
+                       "leave the float range")
     slope, intercept = np.polyfit(design, logy, 1)
     rate = -float(slope)
     if not rate > 0.0:
@@ -149,11 +155,11 @@ def select_model(
 # Explicit rate bounds
 # ---------------------------------------------------------------------------
 
-def _bound_inputs(traj: Trajectory, schedule: LambdaSchedule, x_bar, rate: str):
+def _bound_inputs(traj: Trajectory, x_bar, rate: str):
     """(lam*, t, d, ||x - xbar||) per sample for a rate bound, after the
     prerequisites every bound shares: inf lambda > 0, a complete dist_fix
     series and a limit point (``x_bar``, else the trajectory's limit estimate)."""
-    lam_star = schedule.inf_value
+    lam_star = _schedule_of(traj).inf_value
     if not lam_star > 0.0:
         raise UsageError(f"the {rate} bound needs inf lambda > 0")
     d = traj.metric("dist_fix")
@@ -183,8 +189,7 @@ def _bound_check(bound_name: str, tol: float, **margins: np.ndarray) -> BoundChe
 def check_linear_rate_bound(
     traj: Trajectory,
     kappa: float,
-    schedule: Optional[LambdaSchedule] = None,
-    d0: Optional[float] = None,
+    *,
     tol: float = 1e-9,
     x_bar=None,
 ) -> BoundCheck:
@@ -195,14 +200,12 @@ def check_linear_rate_bound(
         ||x(t) - xbar|| <= 2 exp(-(lam*/(2 kappa^2)) t) d(x0,F) (trajectory bound)
 
     ``kappa`` must come from an estimate certified on a region containing the
-    trajectory. d0 defaults to the first sample's distance.
+    trajectory. d(x0, F) is the first sample's distance.
     """
-    schedule = _schedule(traj, schedule)
     if not kappa > 0.0:
         raise UsageError("kappa must be positive")
-    lam_star, t, d, err = _bound_inputs(traj, schedule, x_bar, "exponential")
-    if d0 is None:
-        d0 = float(d[0])
+    lam_star, t, d, err = _bound_inputs(traj, x_bar, "exponential")
+    d0 = float(d[0])
     decay = np.exp(-(lam_star / kappa ** 2) * t)
     return _bound_check("exponential rate under linear regularity", tol,
                         squared_distance_decay=decay * d0 ** 2 - d ** 2,
@@ -238,9 +241,9 @@ def check_hoelder_rate_bound(
     traj: Trajectory,
     kappa: float,
     gamma: float,
-    schedule: Optional[LambdaSchedule] = None,
+    *,
     tol: float = 1e-6,
-    t_min: float = 1.0,
+    t_min: float = POWERLAW_MIN_T,
     x_bar=None,
 ) -> BoundCheck:
     """Check the power-law bounds for Hoelder-regular operators at samples with
@@ -251,10 +254,9 @@ def check_hoelder_rate_bound(
 
     with M0 built from (kappa, gamma, lam*) as in the proof chain.
     """
-    schedule = _schedule(traj, schedule)
     if not 0.0 < gamma < 1.0:
         raise UsageError("gamma must lie in (0,1)")
-    lam_star, t, d, err = _bound_inputs(traj, schedule, x_bar, "power-law")
+    lam_star, t, d, err = _bound_inputs(traj, x_bar, "power-law")
     sel = t >= t_min
     if not np.any(sel):
         raise UsageError(f"no samples with t >= {t_min}")

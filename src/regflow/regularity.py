@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateEstimateError, UsageError
 from .fixset import FixSetOracle, Intersection, residual
-from .flow import LambdaSchedule, Trajectory
+from .flow import Trajectory, _schedule_of
 from .operators import Operator, compose, convex_combination
 from .sets import AffineSubspace, Ball, Box, HalfSpace, Hyperplane, PrimitiveSet, row_norm
 from .validation import as_point, as_vector
@@ -222,7 +222,7 @@ def check_avg_inequality(
     traj: Trajectory,
     op: Operator,
     x_star,
-    schedule: Optional[LambdaSchedule] = None,
+    *,
     tol: float = 1e-9,
 ) -> InequalityReport:
     """Per-sample check of the relaxed-step contraction toward a fixed point:
@@ -232,9 +232,8 @@ def check_avg_inequality(
     with v = lam(t) (T(x) - x) reconstructed exactly from the operator (no
     finite differences). Samples where lam(t)=0 are skipped and counted.
     """
-    schedule = _schedule(traj, schedule)
     x_star = _fixed_point(op, x_star)
-    lam = schedule(traj.times())
+    lam = _schedule_of(traj)(traj.times())
     keep = lam > 0.0
     skipped = int(np.count_nonzero(~keep))
     lam, x = lam[keep], traj.states()[keep]
@@ -249,7 +248,7 @@ def check_descent(
     op: Operator,
     oracle: FixSetOracle,
     x_star,
-    schedule: Optional[LambdaSchedule] = None,
+    *,
     tol: Optional[float] = None,
 ) -> InequalityReport:
     """Central-difference check of the two descent inequalities along the flow:
@@ -261,7 +260,7 @@ def check_descent(
     sample spacing (10 * max dt, calibrated on a flow with a known closed-form
     solution, where the discretization error is O(dt^2)).
     """
-    schedule = _schedule(traj, schedule)
+    schedule = _schedule_of(traj)
     if len(traj.samples) < 3:
         raise UsageError("need at least 3 samples for central differences")
     ts = traj.times()
@@ -299,10 +298,11 @@ def check_combination_bound(
     with T the convex combination of the ops (all sharing the fixed set of the
     oracle)."""
     rhos = _require_rhos(ops, rhos)
+    weights = [float(w) for w in weights]
     T = convex_combination(ops, weights)
     x = as_point(points, T.dim)
     lhs = sum(wi * ri * residual(op, x) ** 2
-              for wi, ri, op in zip(T.meta.weights, rhos, ops))
+              for wi, ri, op in zip(weights, rhos, ops))
     slacks = 2.0 * oracle.distance_to(x).distance * residual(T, x) - lhs
     return _report("combination residual bound (weighted constituents)", slacks, 1e-10)
 
@@ -326,13 +326,6 @@ def check_composition_bound(
         q_prev = q
     slacks = 2.0 * oracle.distance_to(x).distance * residual(T, x) - lhs
     return _report("composition residual bound (partial stages)", slacks, 1e-10)
-
-
-def _schedule(traj: Trajectory, schedule: Optional[LambdaSchedule]) -> LambdaSchedule:
-    schedule = schedule or traj.schedule
-    if schedule is None:
-        raise UsageError("no schedule available")
-    return schedule
 
 
 def _fixed_point(op: Operator, x_star) -> np.ndarray:

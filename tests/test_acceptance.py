@@ -95,9 +95,9 @@ def test_criterion_04_trajectory_inequalities_on_corpus():
         sc = load_scenario(name)
         traj = _run(sc)
         x_star = sc.oracle.distance_to(sc.x0).witness
-        rep_avg = rf.check_avg_inequality(traj, sc.operator, x_star, sc.schedule)
+        rep_avg = rf.check_avg_inequality(traj, sc.operator, x_star)
         rep_desc = rf.check_descent(traj, sc.operator, sc.oracle, x_star,
-                                    sc.schedule, tol=10.0 * dt)
+                                    tol=10.0 * dt)
         ok = rep_avg.worst_slack >= -10.0 * dt and rep_desc.worst_slack >= -10.0 * dt
         all_ok &= ok
         details.append(f"{name}: {min(rep_avg.worst_slack, rep_desc.worst_slack):.2e}")
@@ -190,8 +190,7 @@ def test_criterion_07_exponential_regime_pipeline():
 
     # (b) the three displayed inequalities at every sample
     traj = _run(sc)
-    bc = rf.check_linear_rate_bound(traj, est.kappa, sc.schedule,
-                                    d0=sc.oracle.distance_to(sc.x0).distance,
+    bc = rf.check_linear_rate_bound(traj, est.kappa,
                                     tol=1e-9)
     bounds_ok = bc.passed and bc.worst_margin >= -1e-9
 
@@ -223,7 +222,7 @@ def test_criterion_08_powerlaw_regime_pipeline():
     exp_fit, pow_fit, chosen = rf.select_model(traj, "dist_fix")
     model_ok = chosen == "powerlaw"
 
-    bc = rf.check_hoelder_rate_bound(traj, est.kappa, est.gamma, sc.schedule,
+    bc = rf.check_hoelder_rate_bound(traj, est.kappa, est.gamma,
                                      tol=1e-6, t_min=1.0,
                                      x_bar=sc.oracle.point)
     bound_ok = bc.passed and bc.worst_margin >= -1e-6

@@ -2,6 +2,7 @@ import copy
 import json
 import tempfile
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -442,6 +443,18 @@ class TestCLIRun:
         assert code == 2 and "x must be finite" in err and "Traceback" not in err
         assert elapsed < 10.0
 
+    def test_rk45_field_overflow_exits_2_without_warning(self, tmp_path, capsys):
+        # T(x) - x = -2e308 overflows in the field; the next stage's T(x)
+        # rejects the state, and no numpy warning reaches stderr first
+        half = {"kind": "halfspace", "normal": [1.0], "offset": 0.0}
+        cfg = minimal_config(dimension=1, operator={"kind": "reflect", "set": half},
+                             integrator={"method": "rk45", "t_end": 1.0}, x0=[1e308])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "x must be finite" in err and "Traceback" not in err
+
     def test_rk45_far_plane_fails_the_initial_step(self, tmp_path, capsys):
         # x0 is finite but T(x0) - x0 ~ 1e150 overflows the step-size norms: h0 = 0
         plane = {"kind": "hyperplane", "normal": [1.0, 0.0], "offset": 1e150}
@@ -491,6 +504,18 @@ class TestCLIRate:
         assert main(["rate", str(path), "--model", "pow"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "powerlaw fit constant M" in captured.err
+
+    @pytest.mark.parametrize("model", ["exp", "auto"])
+    def test_rate_squared_times_outside_float_range_exits_3(self, tmp_path, capsys, model):
+        rows = "".join(f"{i * 1e300!r},0,{0.5 ** i!r},{0.5 ** i!r},0\n" for i in range(20))
+        path = tmp_path / "traj.csv"
+        path.write_text(self.HEADER + rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow and rank warnings too
+            assert main(["rate", str(path), "--model", model]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exponential fit in window (3e+300, 1.9e+301): the squares" in captured.err
 
     def test_rate_missing_file_is_usage_error(self, tmp_path):
         assert main(["rate", str(tmp_path / "none.csv")]) == 2

@@ -80,6 +80,14 @@ class TestFitDecay:
         with pytest.raises(rf.FitError, match="powerlaw fit constant M"):
             rf.fit_decay(traj, "residual", "powerlaw")
 
+    def test_squared_times_outside_float_range_raise(self):
+        # t up to 1.9e301: the sum of t^2 that polyfit scales its design by overflows
+        t = np.arange(20) * 1e300
+        traj = synthetic_traj(t, 0.5 ** np.arange(20))
+        with pytest.raises(rf.FitError, match=r"exponential fit in window .* the squares "
+                                              r"of the fit variable leave the float range"):
+            rf.fit_decay(traj, "residual", "exponential")
+
     def test_growing_series_raises(self):
         t = np.linspace(0.0, 5.0, 30)
         traj = synthetic_traj(t, np.exp(+t))
@@ -132,7 +140,7 @@ class TestLinearRateBound:
         traj = rf.integrate_flow(zero_map, [1.0], rf.Constant(1.0), cfg,
                                  oracle=rf.SinglePoint([0.0]))
         assert traj.limit_estimate is not None
-        bc = rf.check_linear_rate_bound(traj, kappa=1.0, d0=1.0)
+        bc = rf.check_linear_rate_bound(traj, kappa=1.0)
         assert bc.passed
         # margin of the squared-decay inequality at t=1: e^{-1} - e^{-2}
         t = traj.times()
@@ -141,10 +149,10 @@ class TestLinearRateBound:
         assert margins[10] == pytest.approx(np.exp(-1.0) - np.exp(-2.0), abs=1e-8)
 
     def test_requires_positive_lambda_inf(self, zero_map):
-        traj = rf.km_iterate(zero_map, [1.0], [0.0, 0.0], 2, rf.SinglePoint([0.0]))
         sched = rf.PiecewiseConstant([0.0], [0.0])
+        traj = rf.km_iterate(zero_map, [1.0], sched, 2, rf.SinglePoint([0.0]))
         with pytest.raises(rf.UsageError):
-            rf.check_linear_rate_bound(traj, 1.0, sched, x_bar=[0.0])
+            rf.check_linear_rate_bound(traj, 1.0, x_bar=[0.0])
 
     def test_missing_limit_and_x_bar_raises(self, zero_map):
         traj = rf.km_iterate(zero_map, [1.0], 0.5, 3, rf.SinglePoint([0.0]))
@@ -181,14 +189,16 @@ class TestHoelderRateBound:
         m0 = rf.hoelder_bound_constant(2.0, gamma, 0.8)
         vals = 0.9 * m0 * t ** (-rho)
         traj = synthetic_traj(t, vals)
+        traj.schedule = rf.Constant(0.8)
         traj.limit_estimate = np.array([0.0])
-        bc = rf.check_hoelder_rate_bound(traj, 2.0, gamma, rf.Constant(0.8))
+        bc = rf.check_hoelder_rate_bound(traj, 2.0, gamma)
         assert bc.passed
         # the bound exponent is exactly gamma/(2(1-gamma)): scaling the series
         # by t^{+0.01} must eventually break it
         bad = synthetic_traj(t, m0 * t ** (-rho + 0.05))
+        bad.schedule = rf.Constant(0.8)
         bad.limit_estimate = np.array([0.0])
-        bc_bad = rf.check_hoelder_rate_bound(bad, 2.0, gamma, rf.Constant(0.8))
+        bc_bad = rf.check_hoelder_rate_bound(bad, 2.0, gamma)
         assert not bc_bad.passed
 
     def test_constant_overflow_is_numeric_error_naming_kappa_and_gamma(self):
@@ -318,3 +328,18 @@ class TestBatchedComparisonLemmas:
         assert isinstance(rf.verify_comparison_lemmas(1.0, 0.5, 1.0), rf.InequalityReport)
         rf.verify_comparison_lemmas([1.0, 1.0], 0.5, 1.0)  # repeated problems solve once
         assert components == [2, 2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda traj, op, oracle, extra: rf.check_avg_inequality(traj, op, [0.0], extra),
+    lambda traj, op, oracle, extra: rf.check_descent(traj, op, oracle, [0.0], extra),
+    lambda traj, op, oracle, extra: rf.check_linear_rate_bound(traj, 1.0, extra),
+    lambda traj, op, oracle, extra: rf.check_hoelder_rate_bound(traj, 1.0, 0.5, extra),
+], ids=["avg_inequality", "descent", "linear_rate_bound", "hoelder_rate_bound"])
+def test_trailing_parameters_are_keyword_only(call, zero_map):
+    # a stale positional schedule must not land in tol: the checks read lambda
+    # from the trajectory and take every optional parameter by keyword
+    oracle = rf.SinglePoint([0.0])
+    traj = rf.km_iterate(zero_map, [1.0], 1.0, 3, oracle)
+    with pytest.raises(TypeError, match="positional argument"):
+        call(traj, zero_map, oracle, traj.schedule)

@@ -182,14 +182,14 @@ class TestAvgInequality:
                                     rf.residual(two_lines["op"], x))
                    for i, x in enumerate(xs)]
         traj = Trajectory(samples, "discrete", sched)
-        rep = rf.check_avg_inequality(traj, two_lines["op"], np.zeros(2), sched)
+        rep = rf.check_avg_inequality(traj, two_lines["op"], np.zeros(2))
         assert rep.passed
 
     def test_zero_map_half_relaxation_arithmetic(self, zero_map):
         # v = -0.5, LHS = 0.25 + 1*0.25 = 0.5, RHS = 1, slack = 0.5
         sched = rf.Constant(0.5)
         traj = one_sample_traj([1.0], sched)
-        rep = rf.check_avg_inequality(traj, zero_map, [0.0], sched)
+        rep = rf.check_avg_inequality(traj, zero_map, [0.0])
         assert rep.worst_slack == pytest.approx(0.5, abs=1e-14)
 
     def test_lambda_zero_samples_skipped_and_counted(self, zero_map):
@@ -197,13 +197,13 @@ class TestAvgInequality:
         samples = [TrajectorySample(0.0, np.array([1.0]), 1.0, 0.0),
                    TrajectorySample(1.0, np.array([0.5]), 0.5, 0.5)]
         traj = Trajectory(samples, "discrete", sched)
-        rep = rf.check_avg_inequality(traj, zero_map, [0.0], sched)
+        rep = rf.check_avg_inequality(traj, zero_map, [0.0])
         assert rep.excluded == 1 and rep.n_points == 1
 
     def test_non_fixed_x_star_rejected(self, zero_map):
         traj = one_sample_traj([1.0], rf.Constant(1.0))
         with pytest.raises(rf.UsageError):
-            rf.check_avg_inequality(traj, zero_map, [3.0], rf.Constant(1.0))
+            rf.check_avg_inequality(traj, zero_map, [3.0])
 
 
 class TestDescent:
@@ -217,7 +217,7 @@ class TestDescent:
         I = rf.identity(1)
         oracle = rf.ExactSet(rf.AffineSubspace(np.array([[1.0]]), [0.0]))  # whole line
         traj = self.run_flow(I, [0.7], 1.0, 1.0, 0.05, oracle)
-        rep = rf.check_descent(traj, I, oracle, [0.7], rf.Constant(1.0))
+        rep = rf.check_descent(traj, I, oracle, [0.7])
         assert abs(rep.worst_slack) <= 1e-12
 
     def test_zero_map_strict_slack_matches_closed_form(self, zero_map):
@@ -225,7 +225,7 @@ class TestDescent:
         # -e^{-2t} d0^2: the worst (latest-time) slack is ~ e^{-2 t_end} d0^2
         oracle = rf.SinglePoint([0.0])
         traj = self.run_flow(zero_map, [1.0], 1.0, 2.0, 0.01, oracle)
-        rep = rf.check_descent(traj, zero_map, oracle, [0.0], rf.Constant(1.0))
+        rep = rf.check_descent(traj, zero_map, oracle, [0.0])
         assert rep.passed
         expected = np.exp(-2.0 * (2.0 - 0.01))  # slack of inequality (i) at the end
         assert rep.worst_slack == pytest.approx(expected, rel=1e-2)
@@ -238,7 +238,7 @@ class TestDescent:
 
         def worst(dt):
             traj = self.run_flow(neg, [1.0], 1.0, 1.0, dt, oracle)
-            rep = rf.check_descent(traj, neg, oracle, [0.0], rf.Constant(1.0),
+            rep = rf.check_descent(traj, neg, oracle, [0.0],
                                    tol=1.0)
             return abs(rep.worst_slack)
 
@@ -250,19 +250,19 @@ class TestDescent:
         traj = self.run_flow(two_lines["op"], [4.0, 3.0], 1.0, 5.0, 0.01,
                              two_lines["oracle"])
         rep = rf.check_descent(traj, two_lines["op"], two_lines["oracle"],
-                               [0.0, 0.0], rf.Constant(1.0))
+                               [0.0, 0.0])
         assert rep.passed and rep.worst_slack >= -rep.tolerance
 
     def test_sparse_sampling_rejected(self, zero_map):
         oracle = rf.SinglePoint([0.0])
         traj = self.run_flow(zero_map, [1.0], 1.0, 2.0, 0.5, oracle)
         with pytest.raises(rf.UsageError):
-            rf.check_descent(traj, zero_map, oracle, [0.0], rf.Constant(1.0))
+            rf.check_descent(traj, zero_map, oracle, [0.0])
 
     def test_default_tolerance_scales_with_dt(self, zero_map):
         oracle = rf.SinglePoint([0.0])
         traj = self.run_flow(zero_map, [1.0], 1.0, 1.0, 0.02, oracle)
-        rep = rf.check_descent(traj, zero_map, oracle, [0.0], rf.Constant(1.0))
+        rep = rf.check_descent(traj, zero_map, oracle, [0.0])
         assert rep.tolerance == pytest.approx(0.2, rel=1e-6)
 
 

@@ -118,6 +118,27 @@ def test_right_side_not_finite_or_too_large_at_t0_fails_without_warning(value):
     assert "initial step size is" in sol.message and sol.nfev == 2
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_right_side_not_finite_at_t0_fails_from_a_small_state(value):
+    # y0 = 0 takes h0 = 1e-6 whatever fun is, so the h0 test alone lets the
+    # step loop run on inf/nan stages; fun itself is tested at t0
+    sol = flow.solve_ivp(lambda t, y: np.array([value]), (0.0, 1.0), np.array([0.0]),
+                         rtol=1e-6, atol=1e-9)
+    assert sol.status == -1 and not sol.success
+    assert "initial step size is 1e-06" in sol.message and sol.nfev == 2
+
+
+def test_finite_right_side_overflowing_the_norms_still_solves():
+    # fun = 1e300 overflows d1 from y0 = 0, but it is finite: the solve runs
+    # without a warning (RuntimeWarnings are errors in this suite), as scipy's does
+    def fun(t, y):
+        return np.array([1e300])
+
+    assert flow.solve_ivp(fun, (0.0, 1.0), np.array([0.0]), rtol=1e-6, atol=1e-9).success
+    with np.errstate(over="ignore"):  # scipy's own norms overflow and warn
+        assert_same(fun, (0.0, 1.0), np.array([0.0]), rtol=1e-6, atol=1e-9)
+
+
 def test_step_budget_fails_the_solve(monkeypatch):
     monkeypatch.setattr(flow, "MAX_STEPS", 3)
     sol = flow.solve_ivp(lambda t, y: -y, (0.0, 10.0), [1.0], rtol=1e-9, atol=1e-12)

@@ -21,7 +21,7 @@ def all_variants():
 class TestProjectExamples:
     def test_halfspace_point_already_inside(self):
         hs = rf.HalfSpace([1.0, 0.0], 0.0)
-        np.testing.assert_array_equal(rf.project(hs, [-1.0, 2.0]), [-1.0, 2.0])
+        np.testing.assert_array_equal(hs.project([-1.0, 2.0]), [-1.0, 2.0])
 
     def test_halfspace_outside_against_grid_search(self):
         # independent oracle: dense search over feasible points, then the
@@ -32,14 +32,14 @@ class TestProjectExamples:
         cands = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
         feas = cands[cands @ np.array([1.0, 1.0]) <= 2.0 + 1e-12]
         best = feas[np.argmin(np.linalg.norm(feas - x, axis=1))]
-        p = rf.project(hs, x)
+        p = hs.project(x)
         assert np.linalg.norm(p - best) < 2e-2  # grid resolution 1e-2
         np.testing.assert_allclose(p, x - ((x @ [1, 1] - 2.0) / 2.0) * np.array([1.0, 1.0]))
         np.testing.assert_allclose(p, [1.0, 1.0], atol=1e-12)
 
     def test_ball_radial(self):
         ball = rf.Ball([0.0, 1.0], 1.0)
-        np.testing.assert_allclose(rf.project(ball, [0.0, 3.0]), [0.0, 2.0])
+        np.testing.assert_allclose(ball.project([0.0, 3.0]), [0.0, 2.0])
 
     def test_ball_huge_point_projects_to_the_sphere(self):
         # ||x - c||^2 overflows although x is finite; was the centre and a RuntimeWarning
@@ -123,15 +123,15 @@ class TestProjectExamples:
 
     def test_box_clip(self):
         box = rf.Box([0.0, 0.0], [1.0, 1.0])
-        np.testing.assert_array_equal(rf.project(box, [2.0, -1.0]), [1.0, 0.0])
+        np.testing.assert_array_equal(box.project([2.0, -1.0]), [1.0, 0.0])
 
     def test_hyperplane_mirror_base(self):
         hp = rf.Hyperplane([0.0, 1.0], 0.0)
-        np.testing.assert_allclose(rf.project(hp, [1.0, 2.0]), [1.0, 0.0])
+        np.testing.assert_allclose(hp.project([1.0, 2.0]), [1.0, 0.0])
 
     def test_affine_line_45deg(self):
         line = rf.AffineSubspace(np.array([[1.0], [1.0]]), [0.0, 0.0])
-        np.testing.assert_allclose(rf.project(line, [0.0, 2.0]), [1.0, 1.0])
+        np.testing.assert_allclose(line.project([0.0, 2.0]), [1.0, 1.0])
 
 
 class TestProjectorProperties:
