@@ -152,16 +152,13 @@ def _run_stages(scenario: Scenario, out_dir: Path, report: dict) -> int:
 
     estimate = None
     if scenario.regularity is not None:
-        reg = scenario.regularity
-        estimate = estimate_operator_regularity(
-            scenario.operator, scenario.oracle, reg["region"],
-            n_samples=reg["n_samples"], mode=reg["mode"], seed=reg["seed"],
-        )
+        estimate = estimate_operator_regularity(scenario.operator, scenario.oracle,
+                                                **scenario.regularity)
         if "regularity_json" in ops:
             _write_json(out_dir / f"{name}_regularity.json", estimate.to_dict())
 
     if scenario.rate_fit is not None:
-        fit_doc = _fit_doc(traj, scenario.rate_fit["metric"], scenario.rate_fit["model"])
+        fit_doc = _fit_doc(traj, **scenario.rate_fit)
         if "ratefit_json" in ops:
             _write_json(out_dir / f"{name}_ratefit.json", fit_doc)
         report["rate_fit"] = fit_doc
@@ -261,9 +258,8 @@ def verify_all(seed: int = 0, corrupt: bool = False) -> int:
         ([projector(b) for b in boxes.sets], [third, third, 1.0 - 2.0 * third], boxes),
         ([douglas_rachford(h1, h2), douglas_rachford(h2, h1)], [0.5, 0.5], halves),
     ):
-        rhos = [1.0] * len(ops)
-        record(check_combination_bound(ops, weights, rhos, pts, oracle))
-        record(check_composition_bound(ops, rhos, pts, oracle))
+        record(check_combination_bound(ops, weights, pts, oracle))
+        record(check_composition_bound(ops, pts, oracle))
 
     # trajectory inequality checks over the continuous corpus, one trajectory
     # alive at a time
@@ -360,18 +356,17 @@ def _cmd_reg(args) -> int:
     scenario = build_scenario(resolve_config_source(args.config))
     if scenario.oracle is None:
         raise ConfigError("fix_oracle", "regularity estimation needs a fix_oracle")
-    reg = scenario.regularity or {
-        "mode": "linear", "n_samples": 1000, "seed": 0,
-        "region": Region(np.zeros(scenario.dim), 10.0),
-    }
-    mode = args.mode or reg["mode"]
-    n_samples = (reg["n_samples"] if args.samples is None
-                 else sample_count(args.samples, "--samples"))
-    seed = reg["seed"] if args.seed is None else check_seed(args.seed, "--seed")
+    # without a regularity block, the estimator's own defaults on B(0, 10)
+    reg = dict(scenario.regularity
+               or {"seed": 0, "region": Region(np.zeros(scenario.dim), 10.0)})
+    if args.mode is not None:
+        reg["mode"] = args.mode
+    if args.samples is not None:
+        reg["n_samples"] = sample_count(args.samples, "--samples")
+    if args.seed is not None:
+        reg["seed"] = check_seed(args.seed, "--seed")
     out_dir = _out_dir(args.out_dir)
-    est = estimate_operator_regularity(scenario.operator, scenario.oracle,
-                                       reg["region"], n_samples=n_samples,
-                                       mode=mode, seed=seed)
+    est = estimate_operator_regularity(scenario.operator, scenario.oracle, **reg)
     doc = est.to_dict()
     print(json.dumps(doc, indent=2, sort_keys=True))
     _write_json(out_dir / f"{scenario.name}_regularity.json", doc)

@@ -15,7 +15,6 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -283,12 +282,18 @@ _SCHEDULES = {
                             ("omega", _number))),
 }
 
-# plain objects, read into dicts by build_scenario
+def sample_count(value, path: str, dim=None) -> int:
+    """A regularity-estimate sample count: an integer in [100, MAX_STEPS]."""
+    return _count(value, path, low=100)
+
+
+# plain objects, read into dicts by build_scenario; their keys are the
+# parameter names of the estimator and of the rate fit
 _RATE_FIT = (("metric", _choice("residual", "dist_fix", "dist_to_limit"), "dist_fix"),
              ("model", _choice("auto", "exponential", "powerlaw"), "auto"))
 _REGION = (("center", _vector), ("radius", _number))
 _REGULARITY = (("mode", _choice("linear", "hoelder"), "linear"),
-               ("n_samples", partial(_count, low=100), 1000),
+               ("n_samples", sample_count, 1000),
                ("seed", check_seed, None),
                ("region", lambda node, path, dim: _read(Region, _REGION, node, path, dim)))
 _RANDOM_X0 = (("seed", check_seed, None), ("radius", _positive))
@@ -314,11 +319,6 @@ def build_integrator(node, path: str) -> IntegratorConfig:
         kwargs["sample_times"] = _vector(node["sample_times"], f"{path}.sample_times")
     with _wrap(path):
         return IntegratorConfig(method=method, t_end=t_end, **kwargs)
-
-
-def sample_count(value, path: str) -> int:
-    """A regularity-estimate sample count: an integer in [100, MAX_STEPS]."""
-    return _count(value, path, low=100)
 
 
 def build_x0(node, path: str, dim: int) -> np.ndarray:
@@ -384,6 +384,8 @@ def build_scenario(cfg: dict) -> Scenario:
 
     if regularity is not None and oracle is None:
         raise ConfigError("regularity", "estimation requires a fix_oracle")
+    if rate_fit is not None and rate_fit["metric"] == "dist_fix" and oracle is None:
+        raise ConfigError("rate_fit", "a dist_fix fit requires a fix_oracle")
     if "rate_bound" in checks and regularity is None:
         raise ConfigError("checks", "rate_bound requires a regularity block")
     if checks and oracle is None:

@@ -389,8 +389,9 @@ def _march(op: Operator, x0: np.ndarray, schedule: LambdaSchedule,
         if method == "rk45":
             t_eval = None
             if want is not None:
-                # strictly increasing already: want is, and inside lies below b
-                inside = want[(want > a + 1e-15) & (want < b - 1e-15)]
+                # strictly increasing already: want is, and inside lies below b;
+                # a wanted time within 1e-12 of a or b is that end's sample
+                inside = want[(want > a + 1e-12) & (want < b - 1e-12)]
                 t_eval = np.concatenate([inside, [b]])
             # a stage that overflows is rejected by op(y) itself ("x must be
             # finite"), not by a numpy warning from the field

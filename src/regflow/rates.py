@@ -100,13 +100,16 @@ def fit_decay(
     already converged; nothing to fit). Raises FitError when fewer than 10
     positive samples, or fewer than two distinct times, are available, or when
     the squares of the fit variable (t or log t) or the fitted constant M leave
-    the float range.
+    the float range. Raises UsageError when the metric has no finite sample
+    (``dist_fix`` of a run without an oracle), which is not convergence.
     """
     if model not in ("exponential", "powerlaw"):
         raise UsageError(f"model must be 'exponential' or 'powerlaw', got {model!r}")
     t, y, win = _window_data(traj, metric, model, window)
     raw = traj.metric(metric)
-    if t.size == 0 and np.nanmax(np.abs(raw), initial=0.0) == 0.0:
+    if not np.isfinite(raw).any():
+        raise UsageError("trajectory lacks dist_fix samples; rerun with an oracle")
+    if t.size == 0 and np.nanmax(np.abs(raw)) == 0.0:
         return None
     if t.size < 10:
         raise FitError(

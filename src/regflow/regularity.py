@@ -290,14 +290,13 @@ def check_descent(
 def check_combination_bound(
     ops: list[Operator],
     weights,
-    rhos,
     points,
     oracle: FixSetOracle,
 ) -> InequalityReport:
     """Check sum_i w_i rho_i ||x - T_i(x)||^2 <= 2 d(x, Fix T) ||x - T(x)||
     with T the convex combination of the ops (all sharing the fixed set of the
-    oracle)."""
-    rhos = _require_rhos(ops, rhos)
+    oracle) and rho_i the SQNE modulus each op certifies."""
+    rhos = _moduli(ops)
     weights = [float(w) for w in weights]
     T = convex_combination(ops, weights)
     x = as_point(points, T.dim)
@@ -309,13 +308,13 @@ def check_combination_bound(
 
 def check_composition_bound(
     ops: list[Operator],
-    rhos,
     points,
     oracle: FixSetOracle,
 ) -> InequalityReport:
     """Check sum_i rho_i ||Q_{i-1}(x) - Q_i(x)||^2 <= 2 d(x, Fix T) ||x - T(x)||
-    where Q_0 = Id, Q_i = T_i ... T_1 and T is the full composition."""
-    rhos = _require_rhos(ops, rhos)
+    where Q_0 = Id, Q_i = T_i ... T_1, T is the full composition and rho_i the
+    SQNE modulus T_i certifies."""
+    rhos = _moduli(ops)
     T = compose(ops)
     x = as_point(points, T.dim)
     lhs = 0.0
@@ -336,19 +335,12 @@ def _fixed_point(op: Operator, x_star) -> np.ndarray:
     return x_star
 
 
-def _require_rhos(ops: list[Operator], rhos) -> list[float]:
-    """The moduli as floats, checked against each operator's certified rho."""
-    rhos = [float(r) for r in rhos]
-    if len(ops) != len(rhos):
-        raise UsageError(f"{len(ops)} operators but {len(rhos)} moduli")
-    for i, (op, rho) in enumerate(zip(ops, rhos)):
+def _moduli(ops: list[Operator]) -> list[float]:
+    """Each operator's certified SQNE modulus rho."""
+    for i, op in enumerate(ops):
         if op.meta.rho is None:
             raise UsageError(f"operator {i} ({op.label}) carries no SQNE modulus")
-        if abs(op.meta.rho - rho) > 1e-12 * max(1.0, rho):
-            raise UsageError(
-                f"operator {i} ({op.label}) has modulus {op.meta.rho}, expected {rho}"
-            )
-    return rhos
+    return [op.meta.rho for op in ops]
 
 
 # ---------------------------------------------------------------------------

@@ -117,22 +117,22 @@ def test_criterion_05_combination_composition_sweeps():
     l1, l2 = rf.Hyperplane([0.0, 1.0], 0.0), rf.Hyperplane([1.0, 0.0], 0.0)
     axes = rf.Intersection([l1, l2])
     ps = [rf.projector(l1), rf.projector(l2)]
-    worst = min(worst, rf.check_combination_bound(ps, [0.5, 0.5], [1, 1], pts, axes).worst_slack)
-    worst = min(worst, rf.check_composition_bound(ps, [1, 1], pts, axes).worst_slack)
+    worst = min(worst, rf.check_combination_bound(ps, [0.5, 0.5], pts, axes).worst_slack)
+    worst = min(worst, rf.check_composition_bound(ps, pts, axes).worst_slack)
 
     b1, b2, b3 = (rf.Box([0.0, 0.0], [2.0, 2.0]), rf.Box([1.0, 0.5], [3.0, 3.0]),
                   rf.Box([0.5, 1.0], [2.5, 2.5]))
     boxes = rf.Intersection([b1, b2, b3])
     bps = [rf.projector(b) for b in (b1, b2, b3)]
     w = [1 / 3, 1 / 3, 1 - 2 / 3]
-    worst = min(worst, rf.check_combination_bound(bps, w, [1, 1, 1], pts, boxes).worst_slack)
-    worst = min(worst, rf.check_composition_bound(bps, [1, 1, 1], pts, boxes).worst_slack)
+    worst = min(worst, rf.check_combination_bound(bps, w, pts, boxes).worst_slack)
+    worst = min(worst, rf.check_composition_bound(bps, pts, boxes).worst_slack)
 
     h1, h2 = rf.HalfSpace([1.0, 0.0], 0.0), rf.HalfSpace([0.0, 1.0], 0.0)
     orthant = rf.Intersection([h1, h2])
     drs = [rf.douglas_rachford(h1, h2), rf.douglas_rachford(h2, h1)]
-    worst = min(worst, rf.check_combination_bound(drs, [0.5, 0.5], [1, 1], pts, orthant).worst_slack)
-    worst = min(worst, rf.check_composition_bound(drs, [1, 1], pts, orthant).worst_slack)
+    worst = min(worst, rf.check_combination_bound(drs, [0.5, 0.5], pts, orthant).worst_slack)
+    worst = min(worst, rf.check_composition_bound(drs, pts, orthant).worst_slack)
 
     elapsed = time.perf_counter() - start
     _verdict(5, worst >= -1e-10 and elapsed < 10.0,

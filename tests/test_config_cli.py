@@ -122,6 +122,15 @@ class TestConfigValidation:
         with pytest.raises(rf.ConfigError):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("block", [{"metric": "dist_fix", "model": "exponential"}, {}])
+    def test_dist_fix_rate_fit_requires_oracle(self, block):
+        # without an oracle every dist_fix sample is missing, which a fit read as
+        # "already converged"; an empty block defaults to dist_fix
+        with pytest.raises(rf.ConfigError) as exc:
+            build_scenario(minimal_config(rate_fit=block))
+        assert exc.value.path == "rate_fit" and "fix_oracle" in str(exc.value)
+        build_scenario(minimal_config(rate_fit={"metric": "residual"}))
+
     def test_unknown_kinds_rejected(self):
         with pytest.raises(rf.ConfigError):
             build_scenario(minimal_config(operator={"kind": "mystery"}))
@@ -516,6 +525,16 @@ class TestCLIRate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exponential fit in window (3e+300, 1.9e+301): the squares" in captured.err
+
+    @pytest.mark.parametrize("model", ["exp", "auto"])
+    def test_rate_dist_fix_of_a_run_without_oracle_exits_2(self, tmp_path, capsys, model):
+        rows = "".join(f"{i}.0,{0.5 ** i!r},{0.5 ** i!r},,0\n" for i in range(20))
+        path = tmp_path / "traj.csv"
+        path.write_text(self.HEADER + rows)
+        assert main(["rate", str(path), "--model", model, "--metric", "dist_fix"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "trajectory lacks dist_fix samples; rerun with an oracle" in captured.err
 
     def test_rate_missing_file_is_usage_error(self, tmp_path):
         assert main(["rate", str(tmp_path / "none.csv")]) == 2

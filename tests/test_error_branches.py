@@ -30,8 +30,8 @@ def line():
     return rf.Hyperplane([0.0, 1.0], 0.0)
 
 
-def composition_bound(ops, rhos):
-    return rf.check_composition_bound(ops, rhos, np.ones((1, 2)), rf.SinglePoint([0.0, 0.0]))
+def composition_bound(ops):
+    return rf.check_composition_bound(ops, np.ones((1, 2)), rf.SinglePoint([0.0, 0.0]))
 
 
 def config_with(**overrides):
@@ -118,12 +118,8 @@ ROWS = [
     ("sqne_without_rho",
      lambda: check_sqne(rf.reflect(line()), rf.ExactSet(line())),
      rf.UsageError, "declares no SQNE modulus"),
-    ("moduli_count", lambda: composition_bound([rf.projector(line())] * 2, [1.0]),
-     rf.UsageError, "2 operators but 1 moduli"),
-    ("moduli_missing", lambda: composition_bound([rf.reflect(line())], [1.0]),
+    ("moduli_missing", lambda: composition_bound([rf.reflect(line())]),
      rf.UsageError, "carries no SQNE modulus"),
-    ("moduli_mismatch", lambda: composition_bound([rf.projector(line())], [0.5]),
-     rf.UsageError, "has modulus 1.0, expected 0.5"),
     ("domination_exponents", lambda: hoelder_exponent_domination_constant(1.0, 0.3, 0.5),
      rf.UsageError, "need 0 < gamma <= theta"),
     ("domination_b", lambda: hoelder_exponent_domination_constant(0.0, 0.5, 0.3),

@@ -337,6 +337,20 @@ class TestRecordingRules:
         np.testing.assert_array_equal(every3.times(), ts[keep])
         np.testing.assert_array_equal(every3.states(), full.states()[keep])
 
+    def test_sample_time_one_ulp_past_a_late_breakpoint_is_recorded_once(self):
+        # linspace(0, 50, 501) holds 16.400000000000002, one ulp past the
+        # breakpoint 16.4; from 16 on, a + 1e-15 rounds to a, so that time also
+        # passed the next piece's filter and was recorded a second time
+        grid = np.linspace(0.0, 50.0, 501)
+        assert grid[164] == np.nextafter(16.4, np.inf)
+        cfg = rf.IntegratorConfig("rk45", 50.0, sample_times=grid)
+        traj = rf.integrate_flow(rf.projector(rf.Hyperplane([0.0, 1.0], 0.0)), [1.0, 1.0],
+                                 rf.PiecewiseConstant([0.0, 16.4], [1.0, 0.5]), cfg)
+        ts = traj.times()
+        assert ts.size == 501 and np.all(np.diff(ts) > 0.0)
+        assert ts[164] == 16.4  # the breakpoint's own sample
+        np.testing.assert_allclose(ts, grid, rtol=0.0, atol=1e-12)
+
 
 class TestTrajectoryProperties:
     def test_fejer_monotone_along_flow(self, two_lines):

@@ -335,7 +335,12 @@ class TestBatchedComparisonLemmas:
     lambda traj, op, oracle, extra: rf.check_descent(traj, op, oracle, [0.0], extra),
     lambda traj, op, oracle, extra: rf.check_linear_rate_bound(traj, 1.0, extra),
     lambda traj, op, oracle, extra: rf.check_hoelder_rate_bound(traj, 1.0, 0.5, extra),
-], ids=["avg_inequality", "descent", "linear_rate_bound", "hoelder_rate_bound"])
+    # a stale moduli list: the lemma bounds read each operator's meta.rho
+    lambda traj, op, oracle, extra: rf.check_combination_bound([op], [1.0], [1.0], [[0.0]],
+                                                               oracle),
+    lambda traj, op, oracle, extra: rf.check_composition_bound([op], [1.0], [[0.0]], oracle),
+], ids=["avg_inequality", "descent", "linear_rate_bound", "hoelder_rate_bound",
+        "combination_bound", "composition_bound"])
 def test_trailing_parameters_are_keyword_only(call, zero_map):
     # a stale positional schedule must not land in tol: the checks read lambda
     # from the trajectory and take every optional parameter by keyword

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,16 @@ class TestCollectionEstimator:
                                                 oracle=rf.SinglePoint([0.0, 0.0]))
         assert 0.4 <= est.theta <= 0.6
 
+    def test_to_dict_round_trips_through_json(self):
+        sets = [rf.Hyperplane([0.0, 1.0], 0.0), rf.Hyperplane([1.0, 0.0], 0.0)]
+        est = rf.estimate_collection_regularity(sets, rf.Region([1.0, -2.0], 3.0), 200,
+                                                "linear", 5)
+        doc = json.loads(json.dumps(est.to_dict(), sort_keys=True))
+        assert doc == {"tau": est.tau, "theta": 1.0, "n_samples": 200,
+                       "max_violation": est.max_violation, "excluded": est.excluded,
+                       "region": {"center": [1.0, -2.0], "radius": 3.0}}
+        assert est.max_violation == pytest.approx(1.0)
+
     def test_infeasible_collection_rejected(self):
         with pytest.raises(rf.ConstructionError):
             rf.estimate_collection_regularity(
@@ -274,39 +286,53 @@ class TestBoundLemmas:
 
     def test_combination_point_in_fix_zero_both_sides(self):
         P1, P2, oracle = self.axes()
-        rep = rf.check_combination_bound([P1, P2], [0.5, 0.5], [1.0, 1.0],
+        rep = rf.check_combination_bound([P1, P2], [0.5, 0.5],
                                          [np.zeros(2)], oracle)
         assert rep.worst_slack == 0.0
 
     def test_combination_hand_arithmetic(self):
         P1, P2, oracle = self.axes()
-        rep = rf.check_combination_bound([P1, P2], [0.5, 0.5], [1.0, 1.0],
+        rep = rf.check_combination_bound([P1, P2], [0.5, 0.5],
                                          [np.array([2.0, 0.0])], oracle)
         assert rep.worst_slack == pytest.approx(2.0, abs=1e-12)
 
     def test_combination_sweep(self):
         P1, P2, oracle = self.axes()
         pts = rf.sample_region(rf.Region(np.zeros(2), 10.0), 500, 11)
-        rep = rf.check_combination_bound([P1, P2], [0.5, 0.5], [1.0, 1.0], pts, oracle)
+        rep = rf.check_combination_bound([P1, P2], [0.5, 0.5], pts, oracle)
         assert rep.passed and rep.worst_slack >= -1e-10
 
     def test_composition_hand_arithmetic(self):
         P1, P2, oracle = self.axes()
-        rep = rf.check_composition_bound([P1, P2], [1.0, 1.0],
+        rep = rf.check_composition_bound([P1, P2],
                                          [np.array([2.0, 0.0])], oracle)
         assert rep.worst_slack == pytest.approx(4.0, abs=1e-12)
 
     def test_composition_sweep(self):
         P1, P2, oracle = self.axes()
         pts = rf.sample_region(rf.Region(np.zeros(2), 10.0), 500, 11)
-        rep = rf.check_composition_bound([P1, P2], [1.0, 1.0], pts, oracle)
+        rep = rf.check_composition_bound([P1, P2], pts, oracle)
         assert rep.passed and rep.worst_slack >= -1e-10
+
+    def test_each_constituent_weighs_by_its_own_modulus(self):
+        # R = relax(P1, 0.8) is 0.8-averaged, so rho = 0.25. At x = (0, 2):
+        # R(x) = (0, 0.4) and P2(x) = x, d(x, {0}) = 2.
+        P1, P2, oracle = self.axes()
+        R = rf.relax(P1, 0.8)
+        assert R.meta.rho == pytest.approx(0.25, abs=1e-15)
+        x = [np.array([0.0, 2.0])]
+        # combination T(x) = (0, 1.2): 2 * 2 * 0.8 - (0.5 * 0.25 * 1.6^2 + 0)
+        rep = rf.check_combination_bound([R, P2], [0.5, 0.5], x, oracle)
+        assert rep.worst_slack == pytest.approx(2.88, abs=1e-12)
+        # composition T(x) = (0, 0.4): 2 * 2 * 1.6 - (0.25 * 1.6^2 + 0)
+        rep = rf.check_composition_bound([R, P2], x, oracle)
+        assert rep.worst_slack == pytest.approx(5.76, abs=1e-12)
 
     def test_missing_modulus_rejected(self):
         P1, P2, oracle = self.axes()
         bare = rf.Operator(P2.fn, 2, rf.OperatorMeta(label="bare"))
         with pytest.raises(rf.UsageError):
-            rf.check_combination_bound([P1, bare], [0.5, 0.5], [1.0, 1.0],
+            rf.check_combination_bound([P1, bare], [0.5, 0.5],
                                        [np.zeros(2)], oracle)
 
 
