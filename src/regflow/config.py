@@ -388,6 +388,9 @@ def build_scenario(cfg: dict) -> Scenario:
         raise ConfigError("rate_fit", "a dist_fix fit requires a fix_oracle")
     if "rate_bound" in checks and regularity is None:
         raise ConfigError("checks", "rate_bound requires a regularity block")
+    if "rate_bound" in checks and not schedule.inf_value > 0.0:
+        raise ConfigError("checks", "rate_bound needs inf lambda > 0, and the schedule's "
+                                    "infimum is 0")
     if checks and oracle is None:
         raise ConfigError("checks", "trajectory checks require a fix_oracle")
 

@@ -25,8 +25,9 @@ stability guard beyond standard adaptive control is needed.
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -93,10 +94,11 @@ class PiecewiseConstant(LambdaSchedule):
             raise UsageError("values must lie in [0,1]")
         self.inf_value = float(self.values.min())
         self.inf_product = float((self.values * (1.0 - self.values)).min())
+        self._starts = self.times[1:]  # the starts after the first piece's
 
     def __call__(self, t):
         # the number of pieces after the first that start at or before t
-        return self.values[np.searchsorted(self.times[1:], t, side="right")]
+        return self.values[self._starts.searchsorted(t, "right")]
 
     def breakpoints(self, t_end: float) -> list[float]:
         return self.times[(self.times > 0.0) & (self.times < t_end)].tolist()
@@ -135,7 +137,9 @@ class Sinusoid(LambdaSchedule):
         self.inf_product = min(lo * (1.0 - lo), hi * (1.0 - hi))
 
     def __call__(self, t):
-        return np.clip(self.offset + self.amplitude * np.sin(self.omega * t), 0.0, 1.0)
+        # np.clip's values, -0.0 and nan included, without its Python-level wrapper
+        v = self.offset + self.amplitude * np.sin(self.omega * t)
+        return np.minimum(np.maximum(0.0, v), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,37 +208,67 @@ class TrajectorySample:
     dist_fix: Optional[float] = None
 
 
-@dataclass
 class Trajectory:
-    samples: list[TrajectorySample]
-    mode: str  # "continuous" | "discrete"
-    schedule: Optional[LambdaSchedule]
-    limit_estimate: Optional[np.ndarray] = None
-    info: dict = field(default_factory=dict)
+    """A run sampled at times ``t`` (n,), stored as read-only columns: states
+    ``x`` (n, d), ``residual``, ``dist_fix`` (nan where not measured) and
+    ``speed``, each (n,).
+
+    ``Trajectory(samples, mode, schedule, limit_estimate, info)`` converts a
+    sequence of TrajectorySample once. ``samples`` is a view over the columns.
+    """
+
+    def __init__(self, samples: Sequence[TrajectorySample], mode: str,
+                 schedule: Optional[LambdaSchedule],
+                 limit_estimate: Optional[np.ndarray] = None, info: Optional[dict] = None):
+        self.mode = mode  # "continuous" | "discrete"
+        self.schedule = schedule
+        self.limit_estimate = limit_estimate
+        self.info = {} if info is None else info
+        self._store(np.array([s.t for s in samples], dtype=float),
+                    np.array([s.x for s in samples], dtype=float),
+                    np.array([s.residual for s in samples], dtype=float),
+                    np.array([np.nan if s.dist_fix is None else s.dist_fix
+                              for s in samples], dtype=float),
+                    np.array([s.speed for s in samples], dtype=float))
+
+    @classmethod
+    def _of_columns(cls, columns, mode, schedule, limit_estimate=None, info=None):
+        """The trajectory of ``columns`` (t, x, residual, dist_fix, speed), arrays
+        no caller writes to afterwards."""
+        traj = cls((), mode, schedule, limit_estimate, info)
+        traj._store(*columns)
+        return traj
+
+    def _store(self, *columns: np.ndarray) -> None:
+        for column in columns:
+            column.flags.writeable = False
+        self._t, self._x, self._residual, self._dist_fix, self._speed = columns
+
+    @property
+    def samples(self) -> "_Samples":
+        return _Samples(self)
 
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
+        return self._t
 
     def states(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples])
+        return self._x
 
     @property
     def dim(self) -> int:
-        return self.samples[0].x.shape[0]
+        return self._x.shape[1]
 
     def metric(self, name: str) -> np.ndarray:
         """Per-sample series: 'residual', 'dist_fix' or 'dist_to_limit'."""
         if name == "residual":
-            return np.array([s.residual for s in self.samples])
+            return self._residual
         if name == "dist_fix":
-            return np.array([np.nan if s.dist_fix is None else s.dist_fix
-                             for s in self.samples])
+            return self._dist_fix
         if name == "dist_to_limit":
             if self.limit_estimate is None:
                 raise UsageError("trajectory has no limit_estimate; run longer or "
                                  "use another metric")
-            xs = self.states()
-            return row_norm(xs - self.limit_estimate[None, :])
+            return row_norm(self._x - self.limit_estimate[None, :])
         raise UsageError(f"unknown metric {name!r}")
 
     def to_csv(self, path) -> None:
@@ -244,18 +278,21 @@ class Trajectory:
         cells = ",".join([_CELL] * (dim + 2))
         with_dist = f"{cells},{_CELL},{_CELL}\r\n"
         without_dist = f"{cells},,{_CELL}\r\n"
+        table = np.column_stack([self._t, self._x, self._residual, self._speed])
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["t"] + [f"x_{i}" for i in range(dim)]
                               + ["residual", "dist_fix", "speed"]) + "\r\n")
             fh.writelines(
-                without_dist % (s.t, *s.x.tolist(), s.residual, s.speed)
-                if s.dist_fix is None else
-                with_dist % (s.t, *s.x.tolist(), s.residual, s.dist_fix, s.speed)
-                for s in self.samples)
+                without_dist % tuple(row) if math.isnan(dist) else
+                with_dist % (*row[:-1], dist, row[-1])
+                for row, dist in zip(map(np.ndarray.tolist, table),
+                                     self._dist_fix.tolist()))
 
     @staticmethod
     def from_csv(path) -> "Trajectory":
-        """Read a ``to_csv`` file; malformed ones raise UsageError naming file and line."""
+        """Read a ``to_csv`` file. A malformed file, a row whose cells do not match
+        the header, or a time below the row before it raises UsageError naming
+        the file and line."""
         try:
             fh = open(path, newline="")
         except OSError as exc:
@@ -268,22 +305,57 @@ class Trajectory:
                 if dim < 1 or header[0] != "t" or header[-3:] != ["residual", "dist_fix",
                                                                    "speed"]:
                     raise UsageError("not a trajectory CSV")
-                samples = [_parse_row(row, dim) for row in reader]
-                if not samples:
+                rows, t_before = [], -math.inf
+                for row in reader:
+                    rows.append(_parse_row(row, dim))
+                    t = rows[-1][0]
+                    if t < t_before:
+                        raise UsageError(f"time {t!r} is below the time before it, "
+                                         f"{t_before!r}")
+                    t_before = t
+                if not rows:
                     raise UsageError("no samples after the header")
             except (ValueError, csv.Error) as exc:  # UsageError is a ValueError too
                 raise UsageError(f"{path}, line {max(reader.line_num, 1)}: {exc}") from None
-        ts = np.array([s.t for s in samples])
+        table = np.array(rows)
+        ts = table[:, 0].copy()
         mode = "discrete" if np.all(ts == np.round(ts)) else "continuous"
-        return Trajectory(samples, mode, schedule=None, info={"source": "csv"})
+        columns = (ts, table[:, 1:dim + 1].copy(),
+                   *(table[:, j].copy() for j in range(dim + 1, dim + 4)))
+        return Trajectory._of_columns(columns, mode, None, info={"source": "csv"})
 
 
-def _parse_row(row: list[str], dim: int) -> TrajectorySample:
-    if len(row) < dim + 4:
-        raise UsageError(f"expected {dim + 4} fields, got {len(row)}")
-    t, *x, res, dist, speed = row[:dim + 4]
-    return TrajectorySample(_finite(t), np.array([_finite(v) for v in x]), _finite(res),
-                            _finite(speed), None if dist == "" else _finite(dist))
+class _Samples(Sequence):
+    """The samples of a Trajectory, read from its columns (dist_fix None where
+    not measured); ``pop()`` drops the last sample from every column."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj._t.size
+
+    def __getitem__(self, i: int) -> TrajectorySample:
+        traj = self._traj
+        i = range(len(self))[i]  # a negative i counts from the end; IndexError past it
+        dist = float(traj._dist_fix[i])
+        return TrajectorySample(float(traj._t[i]), traj._x[i], float(traj._residual[i]),
+                                float(traj._speed[i]), None if math.isnan(dist) else dist)
+
+    def pop(self) -> TrajectorySample:
+        last = self[-1]
+        traj = self._traj
+        traj._store(traj._t[:-1], traj._x[:-1], traj._residual[:-1],
+                    traj._dist_fix[:-1], traj._speed[:-1])
+        return last
+
+
+def _parse_row(row: list[str], dim: int) -> list[float]:
+    """[t, x_0..x_{dim-1}, residual, dist_fix (nan when empty), speed] of a CSV row."""
+    if len(row) != dim + 4:
+        raise UsageError(f"expected {dim + 4} fields, as the header has, got {len(row)}")
+    *cells, dist, speed = row
+    return [*map(_finite, cells), math.nan if dist == "" else _finite(dist), _finite(speed)]
 
 
 _CELL = "%.17g"  # the same digits as format(v, ".17g"): round trips any double
@@ -307,27 +379,26 @@ def _finite(cell: str) -> float:
 def _finalize(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOracle],
               times: np.ndarray, states: np.ndarray, mode: str, info: dict,
               dists=None) -> Trajectory:
-    """Trajectory through ``times`` (n,) and ``states`` (n, d), each sample's x a
-    row of ``states``: residual and speed from one batch evaluation of T and
-    lambda, dist_fix from ``oracle`` one sample at a time, as
-    perfbench/test_perfbench_trace.py counts (else from ``dists``, else None);
+    """Trajectory through ``times`` (n,) and ``states`` (n, d), arrays it takes
+    over: residual and speed from one batch evaluation of T and lambda,
+    dist_fix from ``oracle`` one sample at a time, as
+    perfbench/test_perfbench_trace.py counts (else ``dists``, else nan);
     oracle failures name the sample."""
     res = residual(op, states)
-    speed = (schedule(times) * res).tolist()
-    times = times.tolist()
+    speed = schedule(times) * res
     if oracle is not None:
-        dists = []
-        for i, (t, x) in enumerate(zip(times, states)):
+        dists = np.empty(times.size)
+        for i, x in enumerate(states):
             try:
-                dists.append(oracle.distance_to(x).distance)
+                dists[i] = oracle.distance_to(x).distance
             except ConvergenceError as exc:
-                raise ConvergenceError(f"oracle failed at sample {i} (t={t:g}): {exc}",
-                                       result=exc.result) from exc
+                raise ConvergenceError(f"oracle failed at sample {i} (t={times[i]:g}): "
+                                       f"{exc}", result=exc.result) from exc
     elif dists is None:
-        dists = [None] * len(times)
-    samples = list(map(TrajectorySample, times, states, res.tolist(), speed, dists))
-    limit = samples[-1].x.copy() if samples[-1].residual < LIMIT_RESIDUAL_TOL else None
-    return Trajectory(samples, mode, schedule, limit, info)
+        dists = np.full(times.size, np.nan)
+    limit = states[-1].copy() if res[-1] < LIMIT_RESIDUAL_TOL else None
+    return Trajectory._of_columns((times, states, res, dists, speed), mode, schedule,
+                                  limit, info)
 
 
 def sample_metrics(traj: Trajectory, op: Operator,
@@ -337,7 +408,7 @@ def sample_metrics(traj: Trajectory, op: Operator,
     Oracle failures propagate with the index of the offending sample.
     """
     return _finalize(op, _schedule_of(traj), oracle, traj.times(), traj.states(),
-                     traj.mode, dict(traj.info), [s.dist_fix for s in traj.samples])
+                     traj.mode, dict(traj.info), traj.metric("dist_fix"))
 
 
 def _schedule_of(traj: Trajectory) -> LambdaSchedule:
@@ -565,7 +636,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
     # not finite, or overflows the norms, fails the solve without a warning (a
     # small y0 takes h0 = 1e-6 whatever fun is, so fun is tested itself)
     f = rhs(t, y)
-    scale = atol + np.abs(y) * rtol
+    abs_y = np.abs(y)
+    scale = atol + abs_y * rtol
     with np.errstate(over="ignore", invalid="ignore"):
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tf - t)
@@ -587,7 +659,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
         h_abs = min(100 * h0, (0.01 / max(d1, d2)) ** (1 / 5), tf - t)
     K = np.empty((7, y.size))
     KT, K5T = K.T, K[:-1].T
-    stages = [(_C[s], K[:s].T, _A[s, :s]) for s in range(1, 6)]
+    # Python float nodes: t + c h rounds as numpy's float64 does, without its overhead
+    stages = [(float(_C[s]), K[:s].T, _A[s, :s]) for s in range(1, 6)]
     for _ in range(MAX_STEPS):
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -602,11 +675,12 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
             h_abs = abs(h)
             K[0] = f
             for s, (c, Ks, a) in enumerate(stages, start=1):
-                K[s] = rhs(t + c * h, y + np.dot(Ks, a) * h)
-            y_new = y + h * np.dot(K5T, _B)
+                K[s] = rhs(t + c * h, y + Ks.dot(a) * h)
+            y_new = y + h * K5T.dot(_B)
             K[-1] = f_new = rhs(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(KT, _E) * h / scale)
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
+            err = _rms(KT.dot(_E) * h / scale)
             if err < 1:  # accept; grow the step by at most 10, or 1 after a reject
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
@@ -618,14 +692,16 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
             ts.append(t_new)
             ys.append(y_new)
         else:  # the quartic interpolant at the wanted times in (t, t_new]
-            j = np.searchsorted(t_eval, t_new, side="right")
+            j = t_eval.searchsorted(t_new, "right")
             if j > i_eval:
                 x = (t_eval[i_eval:j] - t) / h
-                p = np.cumprod(np.broadcast_to(x, (4, x.size)), axis=0)
+                x2 = x * x
+                x3 = x2 * x
+                p = np.array([x, x2, x3, x3 * x])  # the rows of scipy's cumprod of x
                 ts.append(t_eval[i_eval:j])
-                ys.append(h * np.dot(KT.dot(_P), p) + y[:, None])
+                ys.append(h * KT.dot(_P).dot(p) + y[:, None])
                 i_eval = j
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
         if t >= tf:
             return result(0, "The solver successfully reached the end of the "
                              "integration interval.")

@@ -261,9 +261,9 @@ def check_descent(
     solution, where the discretization error is O(dt^2)).
     """
     schedule = _schedule_of(traj)
-    if len(traj.samples) < 3:
-        raise UsageError("need at least 3 samples for central differences")
     ts = traj.times()
+    if ts.size < 3:
+        raise UsageError("need at least 3 samples for central differences")
     dts = np.diff(ts)
     if dts.max() > MAX_DT_FOR_DERIVATIVES * (1.0 + 1e-9):
         raise UsageError(

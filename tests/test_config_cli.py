@@ -122,6 +122,21 @@ class TestConfigValidation:
         with pytest.raises(rf.ConfigError):
             build_scenario(cfg)
 
+    @pytest.mark.parametrize("schedule", [
+        {"kind": "constant", "value": 0.0},
+        {"kind": "sinusoid", "offset": 0.5, "amplitude": 0.5, "omega": 1.0},
+        {"kind": "piecewise", "times": [0.0, 5.0], "values": [1.0, 0.0]},
+    ], ids=["constant", "sinusoid", "piecewise"])
+    def test_rate_bound_requires_positive_inf_lambda(self, schedule):
+        # the exponential and power-law bounds both need inf lambda > 0
+        cfg = scenario_config("two_lines_60deg")
+        cfg["schedule"] = schedule
+        with pytest.raises(rf.ConfigError, match="rate_bound needs inf lambda > 0") as exc:
+            build_scenario(cfg)
+        assert exc.value.path == "checks"
+        cfg["checks"] = ["avg_inequality", "descent"]
+        build_scenario(cfg)
+
     @pytest.mark.parametrize("block", [{"metric": "dist_fix", "model": "exponential"}, {}])
     def test_dist_fix_rate_fit_requires_oracle(self, block):
         # without an oracle every dist_fix sample is missing, which a fit read as
@@ -373,6 +388,18 @@ class TestCLIRun:
         assert "as the output directory" in capsys.readouterr().err
         assert list(tmp_path.rglob("*")) == [afile]
 
+    def test_rate_bound_with_zero_inf_lambda_runs_nothing(self, tmp_path, capsys):
+        cfg = scenario_config("two_lines_60deg")
+        cfg["schedule"] = {"kind": "constant", "value": 0.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: checks: rate_bound needs inf lambda > 0, "
+                                "and the schedule's infimum is 0\n")
+        assert not (tmp_path / "out").exists()
+
     def test_hoelder_rate_bound_branch(self, tmp_path, capsys):
         assert main(["run", "tangent_ball_line", "--out-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "tangent_ball_line_report.json").read_text())
@@ -578,6 +605,21 @@ class TestCLIRate:
                                   self.HEADER + "0,1.0,0.5,,0.5\n1,inf,0.2,,0.2\n")
         assert code == 2
         assert "traj.csv, line 3" in err and "inf" in err
+
+    @pytest.mark.parametrize("extra", [",junk", ","])
+    def test_rate_row_longer_than_header_is_usage_error(self, tmp_path, capsys, extra):
+        rows = [f"{k},1.0,{0.5 ** k!r},{0.5 ** k!r},0.1" for k in range(20)]
+        rows[3] += extra
+        code, err = self._rate_on(tmp_path, capsys, self.HEADER + "\n".join(rows) + "\n")
+        assert code == 2
+        assert "traj.csv, line 5: expected 5 fields" in err and "got 6" in err
+
+    def test_rate_time_going_back_is_usage_error(self, tmp_path, capsys):
+        times = [*range(18), 19, 18]
+        rows = "".join(f"{t},1.0,{0.5 ** t!r},{0.5 ** t!r},0.1\n" for t in times)
+        code, err = self._rate_on(tmp_path, capsys, self.HEADER + rows)
+        assert code == 2
+        assert "traj.csv, line 21: time 18.0 is below the time before it, 19.0" in err
 
     def test_rate_single_time_is_numeric_error(self, tmp_path, capsys):
         rows = "".join(f"5,1.0,{0.5 ** k!r},{0.5 ** k!r},0.1\n" for k in range(12))

@@ -89,6 +89,33 @@ class TestSchedules:
             clipped = sched.offset + abs(sched.amplitude) > 1.0
             assert (lam.max() == 1.0 and lam.min() == 0.0) == clipped
 
+    @pytest.mark.parametrize("sched", [
+        rf.PiecewiseConstant([0.0, 2.0, 5.0], [1.0, 0.25, 0.5]),
+        rf.Constant(0.7),
+        rf.Sinusoid(0.5, 1.0, 2.0),     # clipped at 0 and at 1
+        rf.Sinusoid(-0.0, -0.5, 1.0),   # -0.0 at t = 0, where np.clip keeps the sign
+        rf.Sinusoid(0.75, 0.2, 1.0),
+    ], ids=["piecewise", "constant", "sinusoid_clipped", "sinusoid_signed_zero",
+            "sinusoid"])
+    def test_bitwise_equal_to_numpy_reference(self, sched):
+        # a breakpoint, one ulp below it, past the last start, and a dense grid
+        ts = np.concatenate([[0.0, 2.0, np.nextafter(2.0, 0.0), 5.0, np.nextafter(5.0, 0.0),
+                              1e6, -1.0], np.linspace(0.0, 20.0, 401)])
+        if isinstance(sched, rf.Sinusoid):
+            ref = np.clip(sched.offset + sched.amplitude * np.sin(sched.omega * ts),
+                          0.0, 1.0)
+        else:
+            ref = sched.values[np.searchsorted(sched.times[1:], ts, side="right")]
+        lam = sched(ts)
+        assert lam.dtype == float and lam.tobytes() == ref.tobytes()
+        for t, want in zip(ts.tolist(), ref):
+            got = sched(t)
+            assert type(got) is np.float64 and got.tobytes() == want.tobytes()
+        if isinstance(sched, rf.Sinusoid) and sched.amplitude == 1.0:
+            assert lam.min() == 0.0 and lam.max() == 1.0
+        if isinstance(sched, rf.Sinusoid) and sched.amplitude == -0.5:
+            assert np.signbit(sched(0.0))
+
     def test_unit_alignment(self):
         assert rf.Constant(1.0).is_unit_aligned()
         assert rf.PiecewiseConstant([0.0, 1.0, 2.0], [1, 0.5, 1]).is_unit_aligned()
@@ -573,6 +600,70 @@ class TestCSVBytes:
         assert [s.dist_fix is None for s in traj.samples] == \
             [s.dist_fix is None for s in samples]
         self.assert_same_bytes(traj, tmp_path)
+
+
+def _columns(traj):
+    """Every column of ``traj`` side by side: t, x, residual, dist_fix, speed."""
+    return np.column_stack([traj.times(), traj.states(), traj.metric("residual"),
+                            traj.metric("dist_fix"), [s.speed for s in traj.samples]])
+
+
+class TestColumns:
+    """A trajectory is stored as columns, which the accessors return as they are."""
+
+    def test_accessors_expose_no_writable_alias(self, two_lines):
+        cfg = rf.IntegratorConfig("rk45", 2.0, sample_times=(1.0, 2.0))
+        traj = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(1.0), cfg,
+                                 oracle=two_lines["oracle"])
+        before = _columns(traj).tobytes()
+        for array in (traj.times(), traj.states(), traj.metric("residual"),
+                      traj.metric("dist_fix"), traj.samples[-1].x):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7.0
+        assert _columns(traj).tobytes() == before
+
+    @pytest.mark.parametrize("with_oracle", [True, False])
+    def test_sample_list_finalize_and_csv_agree(self, with_oracle, tmp_path):
+        sc = load_scenario("two_lines_60deg")
+        finalized = rf.integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator,
+                                      oracle=sc.oracle if with_oracle else None)
+        listed = rf.Trajectory(list(finalized.samples), finalized.mode, finalized.schedule)
+        finalized.to_csv(tmp_path / "finalized.csv")
+        read = rf.Trajectory.from_csv(tmp_path / "finalized.csv")
+        listed.to_csv(tmp_path / "listed.csv")
+        read.to_csv(tmp_path / "read.csv")
+        want = _columns(finalized)
+        assert np.isnan(want[:, -2]).all() != with_oracle
+        assert _columns(listed).tobytes() == want.tobytes() == _columns(read).tobytes()
+        assert (tmp_path / "listed.csv").read_bytes() == \
+            (tmp_path / "finalized.csv").read_bytes() == (tmp_path / "read.csv").read_bytes()
+
+    def test_pop_truncates_every_accessor_and_the_csv(self, zero_map, tmp_path):
+        traj = rf.km_iterate(zero_map, [1.0], 0.5, 5, oracle=rf.SinglePoint([0.0]))
+        full = _columns(traj)
+        traj.to_csv(tmp_path / "full.csv")
+        popped = traj.samples.pop()
+        assert (popped.t, popped.dist_fix) == (5.0, 1.0 / 32.0)
+        assert len(traj.samples) == 5 and traj.samples[-1].t == 4.0
+        assert _columns(traj).tobytes() == full[:-1].tobytes()
+        traj.to_csv(tmp_path / "popped.csv")
+        assert (tmp_path / "popped.csv").read_text() == \
+            "".join((tmp_path / "full.csv").read_text().splitlines(keepends=True)[:-1])
+
+    def test_flow_and_trajectory_checks_build_no_sample(self, monkeypatch):
+        # the samples view is for callers that ask; nothing on the run path does
+        built = []
+        real = flow_mod.TrajectorySample
+        monkeypatch.setattr(flow_mod, "TrajectorySample",
+                            lambda *args: built.append(args) or real(*args))
+        sc = load_scenario("two_lines_60deg")
+        traj = rf.integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator,
+                                 oracle=sc.oracle)
+        x_star = sc.oracle.distance_to(sc.x0).witness
+        assert rf.check_avg_inequality(traj, sc.operator, x_star).passed
+        assert rf.check_descent(traj, sc.operator, sc.oracle, x_star).passed
+        assert built == []
+        assert traj.samples[0].t == 0.0 and len(built) == 1  # the count sees the view
 
 
 class TestIntegrationFailure:
