@@ -52,7 +52,6 @@ from .flow import (
     PiecewiseConstant,
     Sinusoid,
     Trajectory,
-    TrajectorySample,
     integrate_flow,
     km_iterate,
     sample_metrics,

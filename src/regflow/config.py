@@ -316,6 +316,8 @@ def build_integrator(node, path: str) -> IntegratorConfig:
             raise ConfigError(f"{path}.sample_dt", "must divide t_end evenly")
         kwargs["sample_times"] = np.linspace(0.0, t_end, n + 1)
     if "sample_times" in node:
+        if "sample_dt" in node:
+            raise ConfigError(f"{path}.sample_times", "give sample_dt or sample_times, not both")
         kwargs["sample_times"] = _vector(node["sample_times"], f"{path}.sample_times")
     with _wrap(path):
         return IntegratorConfig(method=method, t_end=t_end, **kwargs)

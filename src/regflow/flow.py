@@ -179,8 +179,8 @@ class IntegratorConfig:
         if self.method != "rk45" and not self.t_end / self.h <= MAX_STEPS:
             raise UsageError(f"{self.method} would take {self.t_end / self.h:.3g} steps; "
                              f"the work budget is {MAX_STEPS}")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise UsageError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < 1.0 and self.abs_tol > 0.0):
+            raise UsageError("tolerances must be positive, and rel_tol below 1")
         if self.sample_stride < 1:
             raise UsageError("sample_stride must be a positive integer")
         if self.sample_times is not None:
@@ -199,54 +199,29 @@ class IntegratorConfig:
 # Trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    x: np.ndarray
-    residual: float
-    speed: float
-    dist_fix: Optional[float] = None
-
-
 class Trajectory:
     """A run sampled at times ``t`` (n,), stored as read-only columns: states
     ``x`` (n, d), ``residual``, ``dist_fix`` (nan where not measured) and
-    ``speed``, each (n,).
+    ``speed``, each (n,). The constructor takes the five arrays over."""
 
-    ``Trajectory(samples, mode, schedule, limit_estimate, info)`` converts a
-    sequence of TrajectorySample once. ``samples`` is a view over the columns.
-    """
-
-    def __init__(self, samples: Sequence[TrajectorySample], mode: str,
+    def __init__(self, t, x, residual, dist_fix, speed, mode: str,
                  schedule: Optional[LambdaSchedule],
                  limit_estimate: Optional[np.ndarray] = None, info: Optional[dict] = None):
         self.mode = mode  # "continuous" | "discrete"
         self.schedule = schedule
         self.limit_estimate = limit_estimate
         self.info = {} if info is None else info
-        self._store(np.array([s.t for s in samples], dtype=float),
-                    np.array([s.x for s in samples], dtype=float),
-                    np.array([s.residual for s in samples], dtype=float),
-                    np.array([np.nan if s.dist_fix is None else s.dist_fix
-                              for s in samples], dtype=float),
-                    np.array([s.speed for s in samples], dtype=float))
-
-    @classmethod
-    def _of_columns(cls, columns, mode, schedule, limit_estimate=None, info=None):
-        """The trajectory of ``columns`` (t, x, residual, dist_fix, speed), arrays
-        no caller writes to afterwards."""
-        traj = cls((), mode, schedule, limit_estimate, info)
-        traj._store(*columns)
-        return traj
-
-    def _store(self, *columns: np.ndarray) -> None:
+        columns = [np.asarray(c, dtype=float) for c in (t, x, residual, dist_fix, speed)]
         for column in columns:
             column.flags.writeable = False
         self._t, self._x, self._residual, self._dist_fix, self._speed = columns
 
     @property
-    def samples(self) -> "_Samples":
-        return _Samples(self)
+    def samples(self) -> np.ndarray:
+        """The times column, as ``times()``. Its only reader is
+        perfbench/spans.py (``len(result.samples)``); once that reads
+        ``times().size`` this property goes (ROADMAP item 1)."""
+        return self._t
 
     def times(self) -> np.ndarray:
         return self._t
@@ -320,34 +295,9 @@ class Trajectory:
         table = np.array(rows)
         ts = table[:, 0].copy()
         mode = "discrete" if np.all(ts == np.round(ts)) else "continuous"
-        columns = (ts, table[:, 1:dim + 1].copy(),
-                   *(table[:, j].copy() for j in range(dim + 1, dim + 4)))
-        return Trajectory._of_columns(columns, mode, None, info={"source": "csv"})
-
-
-class _Samples(Sequence):
-    """The samples of a Trajectory, read from its columns (dist_fix None where
-    not measured); ``pop()`` drops the last sample from every column."""
-
-    def __init__(self, traj: Trajectory):
-        self._traj = traj
-
-    def __len__(self) -> int:
-        return self._traj._t.size
-
-    def __getitem__(self, i: int) -> TrajectorySample:
-        traj = self._traj
-        i = range(len(self))[i]  # a negative i counts from the end; IndexError past it
-        dist = float(traj._dist_fix[i])
-        return TrajectorySample(float(traj._t[i]), traj._x[i], float(traj._residual[i]),
-                                float(traj._speed[i]), None if math.isnan(dist) else dist)
-
-    def pop(self) -> TrajectorySample:
-        last = self[-1]
-        traj = self._traj
-        traj._store(traj._t[:-1], traj._x[:-1], traj._residual[:-1],
-                    traj._dist_fix[:-1], traj._speed[:-1])
-        return last
+        return Trajectory(ts, table[:, 1:dim + 1].copy(),
+                          *(table[:, j].copy() for j in range(dim + 1, dim + 4)),
+                          mode, None, info={"source": "csv"})
 
 
 def _parse_row(row: list[str], dim: int) -> list[float]:
@@ -359,10 +309,6 @@ def _parse_row(row: list[str], dim: int) -> list[float]:
 
 
 _CELL = "%.17g"  # the same digits as format(v, ".17g"): round trips any double
-
-
-def _fmt(v: float) -> str:
-    return _CELL % float(v)
 
 
 def _finite(cell: str) -> float:
@@ -397,8 +343,7 @@ def _finalize(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOra
     elif dists is None:
         dists = np.full(times.size, np.nan)
     limit = states[-1].copy() if res[-1] < LIMIT_RESIDUAL_TOL else None
-    return Trajectory._of_columns((times, states, res, dists, speed), mode, schedule,
-                                  limit, info)
+    return Trajectory(times, states, res, dists, speed, mode, schedule, limit, info)
 
 
 def sample_metrics(traj: Trajectory, op: Operator,
@@ -498,18 +443,20 @@ def _march(op: Operator, x0: np.ndarray, schedule: LambdaSchedule,
             idx, ys = [], []  # every stride-th step counted from t = 0, and the last
             grid = zip(ts[:-1].tolist(), dts.tolist(), (dts * schedule(ts[:-1])).tolist(),
                        ts[1:].tolist())
-            for j, (t, dt, relaxation, t_next) in enumerate(grid, start=1):
-                if method == "rk4":
-                    k1 = f(t, x)
-                    k2 = f(t + dt / 2, x + (dt / 2) * k1)
-                    k3 = f(t + dt / 2, x + (dt / 2) * k2)
-                    k4 = (f_end if t_next == b else f)(t + dt, x + dt * k3)
-                    x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                else:
-                    x = _relaxed_step(x, relaxation, op(x))
-                if (steps + j) % stride == 0 or (last and j == n):
-                    idx.append(j)
-                    ys.append(x)
+            # as for rk45: a step that overflows is rejected by the next op(x)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, (t, dt, relaxation, t_next) in enumerate(grid, start=1):
+                    if method == "rk4":
+                        k1 = f(t, x)
+                        k2 = f(t + dt / 2, x + (dt / 2) * k1)
+                        k3 = f(t + dt / 2, x + (dt / 2) * k2)
+                        k4 = (f_end if t_next == b else f)(t + dt, x + dt * k3)
+                        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    else:
+                        x = _relaxed_step(x, relaxation, op(x))
+                    if (steps + j) % stride == 0 or (last and j == n):
+                        idx.append(j)
+                        ys.append(x)
             steps += n
             ys = np.array(ys).reshape(len(idx), x0.size)
         times.append(ts[idx])

@@ -34,14 +34,11 @@ class OperatorMeta:
 
     alpha in (0,1) means T = (1-alpha)Id + alpha R with R nonexpansive; such a
     T has SQNE modulus rho = (1-alpha)/alpha, so setting alpha fills rho in.
-    ``children`` records the constituents of combinators so that downstream
-    inequality checks can consume the per-constituent moduli.
     """
 
     label: str = ""
     alpha: Optional[float] = None
     rho: Optional[float] = None
-    children: tuple["OperatorMeta", ...] = ()
 
     def __post_init__(self):
         if self.alpha is not None:
@@ -233,10 +230,7 @@ def convex_combination(ops: list[Operator], weights) -> Operator:
             out = out + wi * op.fn(x)
         return out
 
-    meta = OperatorMeta(
-        label="combination[" + ", ".join(op.label for op in ops) + "]",
-        children=tuple(op.meta for op in ops),
-    )
+    meta = OperatorMeta(label="combination[" + ", ".join(op.label for op in ops) + "]")
     return Operator(fn, dim, meta)
 
 
@@ -253,10 +247,7 @@ def compose(ops: list[Operator]) -> Operator:
             x = op.fn(x)
         return x
 
-    meta = OperatorMeta(
-        label="composition[" + ", ".join(op.label for op in ops) + "]",
-        children=tuple(op.meta for op in ops),
-    )
+    meta = OperatorMeta(label="composition[" + ", ".join(op.label for op in ops) + "]")
     return Operator(fn, dim, meta)
 
 

@@ -139,7 +139,10 @@ def _fit_ratio(dists: np.ndarray, resids: np.ndarray, mode: str) -> tuple[float,
         pos = (dists > 0.0) & (resids > 0.0)
         if np.count_nonzero(pos) < 2:
             raise DegenerateEstimateError("not enough positive samples for a log-log fit")
-        slope, _ = np.polyfit(np.log(resids[pos]), np.log(dists[pos]), 1)
+        (slope, _), _, rank, _, _ = np.polyfit(np.log(resids[pos]), np.log(dists[pos]), 1,
+                                               full=True)
+        if rank < 2:
+            raise DegenerateEstimateError("log-log fit is rank deficient")
         gamma = float(min(max(slope, 1e-6), 1.0))
     else:
         raise UsageError(f"mode must be 'linear' or 'hoelder', got {mode!r}")

@@ -38,12 +38,10 @@ def test_criterion_01_km_euler_bit_identity():
         eu = rf.integrate_flow(sc.operator, sc.x0, sc.schedule, cfg, oracle=sc.oracle)
         km = rf.km_iterate(sc.operator, sc.x0, sc.schedule, K, oracle=sc.oracle)
         elapsed = time.perf_counter() - start
-        identical = len(eu.samples) == len(km.samples) == K + 1 and all(
-            a.t == b.t and np.array_equal(a.x, b.x)
-            and a.residual == b.residual and a.speed == b.speed
-            and a.dist_fix == b.dist_fix
-            for a, b in zip(eu.samples, km.samples)
-        )
+        columns = [(traj.times(), traj.states(), traj.metric("residual"),
+                    traj.metric("dist_fix"), traj._speed) for traj in (eu, km)]
+        identical = eu.times().size == km.times().size == K + 1 and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(*columns))
         all_ok &= identical and elapsed < 1.0
     _verdict(1, all_ok, "unit-step Euler and the relaxed iteration are "
                         "bit-identical at t = 0..50 on every bundled scenario (<1 s each)")

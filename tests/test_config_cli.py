@@ -255,10 +255,13 @@ class TestCLIRun:
         ("run", minimal_config(fix_oracle={"kind": "exact", "set": {
             "kind": "affine", "basis": 1.0, "offset": [0.0, 0.0]}}), "fix_oracle.set.basis"),
         ("run", minimal_config(integrator=[]), "integrator"),
+        ("run", minimal_config(integrator={"method": "rk45", "t_end": 1.0, "sample_dt": 0.1,
+                                           "sample_times": [0.0, 0.5, 1.0]}),
+         "integrator.sample_times"),
     ], ids=["reg_without_oracle", "not_an_object", "unknown_check",
             "regularity_without_oracle", "uneven_sample_dt", "string_x0", "zero_radius",
             "unknown_metric", "childless_compose", "negative_weight", "scalar_basis",
-            "list_integrator"])
+            "list_integrator", "sample_dt_and_sample_times"])
     def test_config_error_exits_2_naming_the_field(self, tmp_path, capsys, command, cfg,
                                                    field):
         path = tmp_path / "cfg.json"
@@ -409,6 +412,19 @@ class TestCLIRun:
         assert "power-law rate under Hoelder regularity [distance_bound]" in \
             capsys.readouterr().out
 
+    def test_rank_deficient_hoelder_fit_exits_3(self, tmp_path, capsys):
+        # a region centred at 2**63 puts every log residual at about the same
+        # value: the log-log fit has rank 1, which is no estimate
+        cfg = scenario_config("tangent_ball_line")
+        cfg["regularity"]["region"]["center"][0] = 2.0 ** 63
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == \
+            "ERROR  tangent_ball_line: log-log fit is rank deficient\n"
+        report = json.loads((tmp_path / "out" / "tangent_ball_line_report.json").read_text())
+        assert report["partial"] is True
+
     def test_hoelder_bound_overflow_exits_3(self, tmp_path, capsys):
         # the estimate gives gamma a hair below 1, where the bound constant overflows
         half = {"kind": "halfspace", "normal": [0.0, 1.0], "offset": 0.5}
@@ -490,6 +506,23 @@ class TestCLIRun:
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "x must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("integrator", [
+        {"method": "euler_unit", "t_end": 50.0},
+        {"method": "euler", "t_end": 5.0, "h": 0.5},
+        {"method": "rk4", "t_end": 5.0, "h": 0.5},
+    ], ids=["euler_unit", "euler", "rk4"])
+    def test_fixed_step_overflow_exits_2_without_warning(self, tmp_path, capsys,
+                                                         integrator):
+        # the reflection through the far half-space overflows in the first step;
+        # the next T(x) rejects the state, and no numpy warning reaches stderr first
+        cfg = scenario_config("dr_two_halfspaces_km")
+        cfg["operator"]["set_l"]["offset"] = -1e308
+        cfg["integrator"] = integrator
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "config error: x must be finite (no NaN/Inf)\n"
 
     def test_rk45_far_plane_fails_the_initial_step(self, tmp_path, capsys):
         # x0 is finite but T(x0) - x0 ~ 1e150 overflows the step-size norms: h0 = 0
@@ -778,8 +811,10 @@ class TestVerifyCLI:
     def test_unit_step_agreement_compares_whole_trajectories(self, monkeypatch, capsys):
         def km_short(*args, **kwargs):
             traj = km_iterate(*args, **kwargs)
-            traj.samples.pop()
-            return traj
+            columns = (traj.times(), traj.states(), traj.metric("residual"),
+                       traj.metric("dist_fix"), traj._speed)
+            return rf.Trajectory(*(column[:-1] for column in columns), traj.mode,
+                                 traj.schedule, traj.limit_estimate, traj.info)
 
         monkeypatch.setattr(regflow.cli, "km_iterate", km_short)
         assert main(["verify"]) == 1

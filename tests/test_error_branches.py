@@ -10,7 +10,7 @@ import pytest
 
 import regflow as rf
 from regflow.config import build_scenario
-from regflow.flow import Trajectory, TrajectorySample
+from regflow.flow import Trajectory
 from regflow.regularity import (check_averagedness, check_sqne,
                                 hoelder_exponent_domination_constant)
 from regflow.scenarios import scenario_config
@@ -18,8 +18,9 @@ from regflow.scenarios import scenario_config
 
 def traj(n=3, schedule=rf.Constant(1.0), dist=0.0):
     """n samples at t = 0, 1, ... resting at the fixed point 0 of the zero map."""
-    samples = [TrajectorySample(float(t), np.zeros(1), 0.0, 0.0, dist) for t in range(n)]
-    return Trajectory(samples, "continuous", schedule, limit_estimate=np.zeros(1))
+    zeros = np.zeros(n)
+    return Trajectory(np.arange(n), zeros[:, None], zeros, np.full(n, dist), zeros,
+                      "continuous", schedule, limit_estimate=np.zeros(1))
 
 
 def zero_map():
@@ -52,6 +53,9 @@ ROWS = [
      rf.UsageError, "tolerances must be positive"),
     ("integrator_abs_tol", lambda: rf.IntegratorConfig("rk45", 1.0, abs_tol=-1.0),
      rf.UsageError, "tolerances must be positive"),
+    ("integrator_rel_tol_one",
+     lambda: config_with(integrator={"method": "rk45", "t_end": 1.0, "rel_tol": 1.0}),
+     rf.ConfigError, "integrator: tolerances must be positive, and rel_tol below 1"),
     ("integrator_stride", lambda: rf.IntegratorConfig("rk45", 1.0, sample_stride=0),
      rf.UsageError, "sample_stride must be a positive integer"),
     ("metric_unknown", lambda: traj().metric("speed"), rf.UsageError,
@@ -130,7 +134,7 @@ ROWS = [
      rf.UsageError, "need at least 3 samples for central differences"),
     ("fit_model", lambda: rf.fit_decay(traj(), model="cubic"), rf.UsageError,
      "model must be 'exponential' or 'powerlaw', got 'cubic'"),
-    ("bound_without_dist_fix", lambda: rf.check_linear_rate_bound(traj(dist=None), 1.0),
+    ("bound_without_dist_fix", lambda: rf.check_linear_rate_bound(traj(dist=np.nan), 1.0),
      rf.UsageError, "trajectory lacks dist_fix samples"),
     ("linear_bound_kappa", lambda: rf.check_linear_rate_bound(traj(), 0.0),
      rf.UsageError, "kappa must be positive"),

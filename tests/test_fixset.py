@@ -190,7 +190,7 @@ class TestCompositeFixedSets:
         T = rf.compose([rf.projector(b) for b in (b1, b2, b3)])
         oracle = rf.Intersection([b1, b2, b3])
         traj = rf.km_iterate(T, [4.0, -2.0], 0.8, 80, oracle)
-        assert traj.samples[-1].dist_fix <= 1e-9
+        assert traj.metric("dist_fix")[-1] <= 1e-9
 
 
 class TestDistanceProperties:

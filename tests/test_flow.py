@@ -147,50 +147,48 @@ class TestFlowExamples:
         cfg = rf.IntegratorConfig("rk45", 1.0, rel_tol=1e-10, abs_tol=1e-13,
                                   sample_times=(1.0,))
         traj = rf.integrate_flow(zero_map, [1.0], rf.Constant(1.0), cfg)
-        assert traj.samples[-1].x[0] == pytest.approx(np.exp(-1.0), abs=1e-8)
-        assert traj.samples[0].t == 0.0
-        np.testing.assert_array_equal(traj.samples[0].x, [1.0])  # x(0) = x0 exactly
+        assert traj.states()[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-8)
+        assert traj.times()[0] == 0.0
+        np.testing.assert_array_equal(traj.states()[0], [1.0])  # x(0) = x0 exactly
 
     def test_identity_flow_frozen(self):
         I = rf.identity(2)
         cfg = rf.IntegratorConfig("rk45", 5.0, sample_times=(1.0, 5.0))
         traj = rf.integrate_flow(I, [2.0, -3.0], rf.Constant(0.7), cfg)
-        for s in traj.samples:
-            np.testing.assert_allclose(s.x, [2.0, -3.0], atol=1e-12)
-            assert s.residual == 0.0
+        np.testing.assert_allclose(traj.states(), [[2.0, -3.0]] * 3, atol=1e-12)
+        assert np.all(traj.metric("residual") == 0.0)
 
     def test_lambda_zero_freezes_any_operator(self, two_lines):
         cfg = rf.IntegratorConfig("rk45", 5.0, sample_times=(2.5, 5.0))
         traj = rf.integrate_flow(two_lines["op"], [3.0, 1.0], rf.Constant(0.0), cfg)
-        for s in traj.samples:
-            np.testing.assert_allclose(s.x, [3.0, 1.0], atol=1e-12)
-            assert s.speed == 0.0
+        np.testing.assert_allclose(traj.states(), [[3.0, 1.0]] * 3, atol=1e-12)
+        assert np.all(_columns(traj)[:, -1] == 0.0)  # the speed
 
     def test_speed_is_lambda_times_residual(self, two_lines):
         cfg = rf.IntegratorConfig("rk45", 3.0, sample_times=tuple(np.linspace(0.5, 3.0, 6)))
         sched = rf.Sinusoid(0.6, 0.3, 2.0)
         traj = rf.integrate_flow(two_lines["op"], [4.0, 1.0], sched, cfg)
-        for s in traj.samples:
-            assert abs(s.speed - sched(s.t) * s.residual) <= 1e-12
+        t, _, _, residual, _, speed = _columns(traj).T
+        assert np.all(np.abs(speed - sched(t) * residual) <= 1e-12)
 
     def test_dist_fix_populated_with_oracle(self, two_lines):
         cfg = rf.IntegratorConfig("rk45", 2.0, sample_times=(1.0, 2.0))
         traj = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(1.0),
                                  cfg, oracle=two_lines["oracle"])
-        assert all(s.dist_fix is not None for s in traj.samples)
+        assert not np.isnan(traj.metric("dist_fix")).any()
         traj2 = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(1.0), cfg)
-        assert all(s.dist_fix is None for s in traj2.samples)
+        assert np.isnan(traj2.metric("dist_fix")).all()
 
 
 class TestKM:
     def test_zero_map_full_step(self, zero_map):
         traj = rf.km_iterate(zero_map, [5.0], 1.0, 1)
-        np.testing.assert_array_equal(traj.samples[-1].x, [0.0])
+        np.testing.assert_array_equal(traj.states()[-1], [0.0])
 
     def test_zero_map_geometric_halving(self, zero_map):
         traj = rf.km_iterate(zero_map, [8.0], 0.5, 3)
-        np.testing.assert_array_equal(traj.samples[-1].x, [1.0])
-        np.testing.assert_array_equal(traj.samples[2].x, [2.0])
+        np.testing.assert_array_equal(traj.states()[-1], [1.0])
+        np.testing.assert_array_equal(traj.states()[2], [2.0])
 
     def test_line45_axis_contraction(self):
         # hand-composed analytic projections; factor cos^2(45deg) = 1/2 per step
@@ -198,8 +196,8 @@ class TestKM:
         T = rf.compose([rf.projector(line45),
                         rf.projector(rf.Hyperplane([0.0, 1.0], 0.0))])
         traj = rf.km_iterate(T, [0.0, 2.0], 1.0, 2)
-        np.testing.assert_allclose(traj.samples[1].x, [1.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(traj.samples[2].x, [0.5, 0.0], atol=1e-14)
+        np.testing.assert_allclose(traj.states()[1], [1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(traj.states()[2], [0.5, 0.0], atol=1e-14)
 
     def test_lambda_sequence_and_times(self, zero_map):
         traj = rf.km_iterate(zero_map, [1.0], [1.0, 0.5, 0.0], 3)
@@ -231,12 +229,8 @@ class TestKMEulerEquivalence:
         km = rf.km_iterate(two_lines["op"], x0, sched, 50, two_lines["oracle"])
         cfg = rf.IntegratorConfig("euler_unit", 50.0)
         eu = rf.integrate_flow(two_lines["op"], x0, sched, cfg, two_lines["oracle"])
-        assert len(km.samples) == len(eu.samples) == 51
-        for a, b in zip(km.samples, eu.samples):
-            assert a.t == b.t
-            np.testing.assert_array_equal(a.x, b.x)
-            assert a.residual == b.residual and a.speed == b.speed
-            assert a.dist_fix == b.dist_fix
+        assert km.times().size == eu.times().size == 51
+        np.testing.assert_array_equal(_columns(km), _columns(eu))
 
     def test_bit_identical_piecewise_unit_schedule(self):
         V = rf.douglas_rachford(rf.HalfSpace([1.0, 0.0], 0.0),
@@ -246,8 +240,7 @@ class TestKMEulerEquivalence:
         km = rf.km_iterate(V, [3.0, 4.0], sched, 50)
         eu = rf.integrate_flow(V, [3.0, 4.0], sched,
                                rf.IntegratorConfig("euler_unit", 50.0))
-        for a, b in zip(km.samples, eu.samples):
-            np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(km.states(), eu.states())
 
     def test_euler_unit_rejects_misaligned_schedule(self, two_lines):
         cfg = rf.IntegratorConfig("euler_unit", 10.0)
@@ -395,7 +388,7 @@ class TestTrajectoryProperties:
             cfg = rf.IntegratorConfig("euler", 10.0, h=h)
             traj = rf.integrate_flow(zero_map, [1.0], rf.Constant(1.0), cfg)
             t = traj.times()
-            sp = np.array([s.speed for s in traj.samples])
+            sp = _columns(traj)[:, -1]
             return float(np.sum(sp[:-1] ** 2 * np.diff(t)))
 
         s1, s2 = riemann(0.01), riemann(0.005)
@@ -410,7 +403,7 @@ class TestTrajectoryProperties:
         def terminal(h, method):
             cfg = rf.IntegratorConfig(method, 2.0, h=h)
             traj = rf.integrate_flow(zero_map, [1.0], rf.Constant(1.0), cfg)
-            return traj.samples[-1].x[0]
+            return traj.states()[-1, 0]
 
         e1 = terminal(0.02, "euler") - exact
         e2 = terminal(0.01, "euler") - exact
@@ -422,7 +415,7 @@ class TestTrajectoryProperties:
         def terminal(h):
             cfg = rf.IntegratorConfig("rk4", 2.0, h=h)
             traj = rf.integrate_flow(zero_map, [1.0], rf.Constant(1.0), cfg)
-            return traj.samples[-1].x[0]
+            return traj.states()[-1, 0]
 
         e1 = terminal(0.2) - exact
         e2 = terminal(0.1) - exact
@@ -434,7 +427,7 @@ class TestTrajectoryProperties:
                                   sample_times=(2.0,))
         traj = rf.integrate_flow(zero_map, [1.0], sched, cfg)
         # closed form: e^{-1} then factor e^{-0.5}
-        assert traj.samples[-1].x[0] == pytest.approx(np.exp(-1.5), abs=1e-10)
+        assert traj.states()[-1, 0] == pytest.approx(np.exp(-1.5), abs=1e-10)
 
     def test_limit_estimate_set_only_when_converged(self, two_lines, zero_map):
         cfg = rf.IntegratorConfig("rk45", 40.0, rel_tol=1e-10, abs_tol=1e-12,
@@ -450,7 +443,7 @@ class TestTrajectoryProperties:
         cfg2 = rf.IntegratorConfig("rk45", 5.0, sample_stride=3)
         t1 = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(1.0), cfg1)
         t2 = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(1.0), cfg2)
-        assert len(t2.samples) < len(t1.samples)
+        assert t2.times().size < t1.times().size
         assert set(t2.times()) <= set(t1.times())
         assert t2.times()[0] == 0.0 and t2.times()[-1] == 5.0
 
@@ -474,27 +467,23 @@ class TestSampleMetrics:
     def test_backfill_and_idempotence(self, two_lines):
         cfg = rf.IntegratorConfig("rk45", 3.0, sample_times=(1.0, 2.0, 3.0))
         traj = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(1.0), cfg)
-        assert all(s.dist_fix is None for s in traj.samples)
+        assert np.isnan(traj.metric("dist_fix")).all()
         filled = rf.sample_metrics(traj, two_lines["op"], two_lines["oracle"])
-        assert all(s.dist_fix is not None for s in filled.samples)
+        assert not np.isnan(filled.metric("dist_fix")).any()
         again = rf.sample_metrics(filled, two_lines["op"], two_lines["oracle"])
-        for a, b in zip(filled.samples, again.samples):
-            assert a.residual == b.residual and a.dist_fix == b.dist_fix
-            assert a.speed == b.speed
-            np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(_columns(filled), _columns(again))
 
     def test_identity_flow_all_residuals_zero(self):
         I = rf.identity(2)
         cfg = rf.IntegratorConfig("rk45", 2.0, sample_times=(1.0, 2.0))
         traj = rf.integrate_flow(I, [1.0, 1.0], rf.Constant(0.5), cfg)
         refreshed = rf.sample_metrics(traj, I)
-        assert all(s.residual == 0.0 for s in refreshed.samples)
+        assert np.all(refreshed.metric("residual") == 0.0)
 
     def test_oracle_failure_reports_sample_index(self, zero_map):
         sched = rf.Constant(1.0)
-        samples = [rf.TrajectorySample(float(k), np.array([1.0 + k]), 1.0, 1.0)
-                   for k in range(3)]
-        traj = rf.Trajectory(samples, "discrete", sched)
+        traj = rf.Trajectory([0.0, 1.0, 2.0], [[1.0], [2.0], [3.0]], np.ones(3),
+                             np.full(3, np.nan), np.ones(3), "discrete", sched)
 
         class FailingOracle(rf.FixSetOracle):
             dim = 1
@@ -512,9 +501,8 @@ class TestSampleMetrics:
                                   sample_times=(np.log(2.0),))
         traj = rf.integrate_flow(zero_map, [1.0], rf.Constant(1.0), cfg,
                                  oracle=rf.SinglePoint([0.0]))
-        s = traj.samples[-1]
-        assert s.residual == pytest.approx(0.5, abs=1e-10)
-        assert s.dist_fix == pytest.approx(0.5, abs=1e-10)
+        assert traj.metric("residual")[-1] == pytest.approx(0.5, abs=1e-10)
+        assert traj.metric("dist_fix")[-1] == pytest.approx(0.5, abs=1e-10)
 
 
 class TestCSV:
@@ -527,28 +515,24 @@ class TestCSV:
         header = path.read_text().splitlines()[0]
         assert header == "t,x_0,x_1,residual,dist_fix,speed"
         back = rf.Trajectory.from_csv(path)
-        assert len(back.samples) == len(traj.samples)
-        for a, b in zip(traj.samples, back.samples):
-            assert a.t == b.t and a.residual == b.residual and a.speed == b.speed
-            assert a.dist_fix == b.dist_fix
-            np.testing.assert_array_equal(a.x, b.x)
+        assert _columns(back).tobytes() == _columns(traj).tobytes()
 
     def test_missing_dist_fix_round_trips_as_none(self, zero_map, tmp_path):
         traj = rf.km_iterate(zero_map, [1.0], 0.5, 3)
         path = tmp_path / "t.csv"
         traj.to_csv(path)
         back = rf.Trajectory.from_csv(path)
-        assert all(s.dist_fix is None for s in back.samples)
+        assert np.isnan(back.metric("dist_fix")).all()
         assert back.mode == "discrete"
 
     def test_17_digit_format_round_trips_any_double(self):
-        from regflow.flow import _fmt
+        from regflow.flow import _CELL
 
         rng = np.random.default_rng(23)
         specials = [0.0, 1.0, np.pi, 1e-300, 5e-324, 0.1, 2.0 ** -52]
         draws = list(np.exp(rng.uniform(-300, 300, 200)) * rng.choice([-1, 1], 200))
         for v in specials + draws:
-            assert float(_fmt(float(v))) == float(v)
+            assert float(_CELL % float(v)) == float(v)
 
 
 def _csv_writer_bytes(traj, path):
@@ -560,10 +544,9 @@ def _csv_writer_bytes(traj, path):
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x_{i}" for i in range(traj.dim)]
                         + ["residual", "dist_fix", "speed"])
-        for s in traj.samples:
-            writer.writerow([fmt(s.t)] + [fmt(v) for v in s.x] + [fmt(s.residual)]
-                            + ["" if s.dist_fix is None else fmt(s.dist_fix)]
-                            + [fmt(s.speed)])
+        for t, *x, residual, dist_fix, speed in _columns(traj).tolist():
+            writer.writerow([fmt(t)] + [fmt(v) for v in x] + [fmt(residual)]
+                            + ["" if np.isnan(dist_fix) else fmt(dist_fix)] + [fmt(speed)])
     return path.read_bytes()
 
 
@@ -584,28 +567,28 @@ class TestCSVBytes:
 
     def test_all_none_dist_fix(self, zero_map, tmp_path):
         traj = rf.km_iterate(zero_map, [1.0], 0.5, 60)
-        assert all(s.dist_fix is None for s in traj.samples)
+        assert np.isnan(traj.metric("dist_fix")).all()
         self.assert_same_bytes(traj, tmp_path)
 
     def test_mixed_dist_fix_read_back(self, tmp_path):
         rng = np.random.default_rng(8)
         values = [0.0, -0.0, 5e-324, 1e308, -1e-300, np.pi, 0.1, 123456789.0]
-        samples = [rf.TrajectorySample(float(k), rng.standard_normal(3) * 10.0 ** k,
-                                       values[k % 8], values[(k + 3) % 8],
-                                       None if k % 3 == 0 else values[(k + 5) % 8])
-                   for k in range(-12, 12)]
+        ks = np.arange(-12, 12)
+        dists = [np.nan if k % 3 == 0 else values[(k + 5) % 8] for k in ks]
+        written = rf.Trajectory(ks, rng.standard_normal((24, 3)) * 10.0 ** ks[:, None],
+                                [values[k % 8] for k in ks], dists,
+                                [values[(k + 3) % 8] for k in ks], "continuous", None)
         path = tmp_path / "mixed.csv"
-        _csv_writer_bytes(rf.Trajectory(samples, "continuous", None), path)
+        _csv_writer_bytes(written, path)
         traj = rf.Trajectory.from_csv(path)
-        assert [s.dist_fix is None for s in traj.samples] == \
-            [s.dist_fix is None for s in samples]
+        np.testing.assert_array_equal(np.isnan(traj.metric("dist_fix")), np.isnan(dists))
         self.assert_same_bytes(traj, tmp_path)
 
 
 def _columns(traj):
     """Every column of ``traj`` side by side: t, x, residual, dist_fix, speed."""
     return np.column_stack([traj.times(), traj.states(), traj.metric("residual"),
-                            traj.metric("dist_fix"), [s.speed for s in traj.samples]])
+                            traj.metric("dist_fix"), traj._speed])  # speed: no accessor
 
 
 class TestColumns:
@@ -617,53 +600,31 @@ class TestColumns:
                                  oracle=two_lines["oracle"])
         before = _columns(traj).tobytes()
         for array in (traj.times(), traj.states(), traj.metric("residual"),
-                      traj.metric("dist_fix"), traj.samples[-1].x):
+                      traj.metric("dist_fix")):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7.0
         assert _columns(traj).tobytes() == before
+
+    def test_constructor_takes_the_columns_over(self):
+        t, x = np.arange(3.0), np.ones((3, 2))
+        traj = rf.Trajectory(t, x, [0, 1, 2], [np.nan] * 3, np.zeros(3), "discrete", None)
+        assert traj.times() is t and traj.states() is x and not t.flags.writeable
+        assert traj.metric("residual").dtype == float and traj.dim == 2
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 7.0
 
     @pytest.mark.parametrize("with_oracle", [True, False])
     def test_sample_list_finalize_and_csv_agree(self, with_oracle, tmp_path):
         sc = load_scenario("two_lines_60deg")
         finalized = rf.integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator,
                                       oracle=sc.oracle if with_oracle else None)
-        listed = rf.Trajectory(list(finalized.samples), finalized.mode, finalized.schedule)
         finalized.to_csv(tmp_path / "finalized.csv")
         read = rf.Trajectory.from_csv(tmp_path / "finalized.csv")
-        listed.to_csv(tmp_path / "listed.csv")
         read.to_csv(tmp_path / "read.csv")
         want = _columns(finalized)
         assert np.isnan(want[:, -2]).all() != with_oracle
-        assert _columns(listed).tobytes() == want.tobytes() == _columns(read).tobytes()
-        assert (tmp_path / "listed.csv").read_bytes() == \
-            (tmp_path / "finalized.csv").read_bytes() == (tmp_path / "read.csv").read_bytes()
-
-    def test_pop_truncates_every_accessor_and_the_csv(self, zero_map, tmp_path):
-        traj = rf.km_iterate(zero_map, [1.0], 0.5, 5, oracle=rf.SinglePoint([0.0]))
-        full = _columns(traj)
-        traj.to_csv(tmp_path / "full.csv")
-        popped = traj.samples.pop()
-        assert (popped.t, popped.dist_fix) == (5.0, 1.0 / 32.0)
-        assert len(traj.samples) == 5 and traj.samples[-1].t == 4.0
-        assert _columns(traj).tobytes() == full[:-1].tobytes()
-        traj.to_csv(tmp_path / "popped.csv")
-        assert (tmp_path / "popped.csv").read_text() == \
-            "".join((tmp_path / "full.csv").read_text().splitlines(keepends=True)[:-1])
-
-    def test_flow_and_trajectory_checks_build_no_sample(self, monkeypatch):
-        # the samples view is for callers that ask; nothing on the run path does
-        built = []
-        real = flow_mod.TrajectorySample
-        monkeypatch.setattr(flow_mod, "TrajectorySample",
-                            lambda *args: built.append(args) or real(*args))
-        sc = load_scenario("two_lines_60deg")
-        traj = rf.integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator,
-                                 oracle=sc.oracle)
-        x_star = sc.oracle.distance_to(sc.x0).witness
-        assert rf.check_avg_inequality(traj, sc.operator, x_star).passed
-        assert rf.check_descent(traj, sc.operator, sc.oracle, x_star).passed
-        assert built == []
-        assert traj.samples[0].t == 0.0 and len(built) == 1  # the count sees the view
+        assert want.tobytes() == _columns(read).tobytes()
+        assert (tmp_path / "finalized.csv").read_bytes() == (tmp_path / "read.csv").read_bytes()
 
 
 class TestIntegrationFailure:
@@ -681,4 +642,4 @@ class TestIntegrationFailure:
         with pytest.raises(rf.IntegrationError) as exc:
             rf.integrate_flow(two_lines["op"], [1.0, 1.0], rf.Constant(1.0), cfg)
         partial = exc.value.partial
-        assert partial is not None and partial.samples[0].t == 0.0
+        assert partial is not None and partial.times()[0] == 0.0

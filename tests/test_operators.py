@@ -173,7 +173,7 @@ class TestCombinators:
         P1 = rf.projector(rf.Hyperplane([0.0, 1.0], 0.0))
         P2 = rf.projector(rf.Hyperplane([1.0, 0.0], 0.0))
         T = rf.convex_combination([P1, P2], [0.25, 0.75])
-        assert [m.rho for m in T.meta.children] == [1.0, 1.0]
+        assert T.meta.label == f"combination[{P1.label}, {P2.label}]"
         assert T.meta.rho is None  # combined modulus never fabricated
 
     def test_compose_order_first_listed_applied_first(self):

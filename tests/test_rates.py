@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 import regflow as rf
-from regflow.flow import Trajectory, TrajectorySample
+from regflow.flow import Trajectory
 
 
 def synthetic_traj(t, values, mode="continuous"):
     """Trajectory whose dist_fix/residual both equal ``values``; states are 1-D."""
-    samples = [
-        TrajectorySample(float(ti), np.array([vi]), float(vi), float(vi), float(vi))
-        for ti, vi in zip(t, values)
-    ]
+    values = np.asarray(values, dtype=float)
     limit = np.array([0.0]) if values[-1] < 1e-9 else None
-    return Trajectory(samples, mode, rf.Constant(1.0), limit)
+    return Trajectory(t, values[:, None], values, values, values, mode, rf.Constant(1.0),
+                      limit)
 
 
 class TestFitDecay:
@@ -97,9 +95,7 @@ class TestFitDecay:
     def test_dist_to_limit_metric(self):
         t = np.linspace(0.0, 5.0, 50)
         vals = 2.0 * np.exp(-5.0 * t)
-        samples = [TrajectorySample(float(ti), np.array([vi]), vi, vi, vi)
-                   for ti, vi in zip(t, vals)]
-        traj = Trajectory(samples, "continuous", rf.Constant(1.0),
+        traj = Trajectory(t, vals[:, None], vals, vals, vals, "continuous", rf.Constant(1.0),
                           limit_estimate=np.array([0.0]))
         fit = rf.fit_decay(traj, "dist_to_limit", "exponential", window=(0.0, 5.0))
         assert fit.rate == pytest.approx(5.0, rel=1e-9)
@@ -123,10 +119,9 @@ class TestSelectModel:
 class TestLinearRateBound:
     def test_start_at_fixed_point_zero_margins(self, zero_map):
         t = np.linspace(0.0, 3.0, 31)
-        samples = [TrajectorySample(float(ti), np.array([0.0]), 0.0, 0.0, 0.0)
-                   for ti in t]
-        traj = Trajectory(samples, "continuous", rf.Constant(1.0),
-                          limit_estimate=np.array([0.0]))
+        zeros = np.zeros(t.size)
+        traj = Trajectory(t, zeros[:, None], zeros, zeros, zeros, "continuous",
+                          rf.Constant(1.0), limit_estimate=np.array([0.0]))
         bc = rf.check_linear_rate_bound(traj, kappa=1.0)
         assert bc.passed
         for margin in bc.margins.values():
@@ -210,10 +205,9 @@ class TestHoelderRateBound:
 
     def test_start_at_fixed_point_trivial(self):
         t = np.linspace(0.0, 5.0, 51)
-        samples = [TrajectorySample(float(ti), np.zeros(1), 0.0, 0.0, 0.0)
-                   for ti in t]
-        traj = Trajectory(samples, "continuous", rf.Constant(1.0),
-                          limit_estimate=np.zeros(1))
+        zeros = np.zeros(t.size)
+        traj = Trajectory(t, zeros[:, None], zeros, zeros, zeros, "continuous",
+                          rf.Constant(1.0), limit_estimate=np.zeros(1))
         bc = rf.check_hoelder_rate_bound(traj, 1.0, 0.5)
         assert bc.passed and bc.worst_margin >= 0.0
 

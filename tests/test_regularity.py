@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import regflow as rf
-from regflow.flow import Trajectory, TrajectorySample
+from regflow.flow import Trajectory
 from regflow.regularity import (
     _core_identity_gaps,
     check_averagedness,
@@ -175,13 +175,13 @@ def one_sample_traj(x, schedule, t=0.0):
     x = np.asarray(x, dtype=float)
     lam = schedule(t)
     res = float(np.linalg.norm(x))  # residual under the zero map
-    return Trajectory([TrajectorySample(t, x, res, lam * res)], "continuous", schedule)
+    return Trajectory([t], [x], [res], [np.nan], [lam * res], "continuous", schedule)
 
 
 class TestAvgInequality:
     def test_at_fixed_point_slack_zero(self, two_lines):
         x_star = np.zeros(2)
-        traj = Trajectory([TrajectorySample(0.0, x_star, 0.0, 0.0)], "continuous",
+        traj = Trajectory([0.0], [x_star], [0.0], [np.nan], [0.0], "continuous",
                           rf.Constant(0.5))
         rep = rf.check_avg_inequality(traj, two_lines["op"], x_star)
         assert rep.worst_slack == pytest.approx(0.0, abs=1e-15)
@@ -189,11 +189,9 @@ class TestAvgInequality:
     def test_full_relaxation_reduces_to_nonexpansiveness(self, two_lines):
         sched = rf.Constant(1.0)
         xs, _ = pairs_in_ball(100, 2, seed=17)
-        samples = [TrajectorySample(float(i), x,
-                                    rf.residual(two_lines["op"], x),
-                                    rf.residual(two_lines["op"], x))
-                   for i, x in enumerate(xs)]
-        traj = Trajectory(samples, "discrete", sched)
+        res = rf.residual(two_lines["op"], xs)
+        traj = Trajectory(np.arange(len(xs)), xs, res, np.full(len(xs), np.nan), res,
+                          "discrete", sched)
         rep = rf.check_avg_inequality(traj, two_lines["op"], np.zeros(2))
         assert rep.passed
 
@@ -206,9 +204,8 @@ class TestAvgInequality:
 
     def test_lambda_zero_samples_skipped_and_counted(self, zero_map):
         sched = rf.PiecewiseConstant([0.0, 1.0], [0.0, 1.0])
-        samples = [TrajectorySample(0.0, np.array([1.0]), 1.0, 0.0),
-                   TrajectorySample(1.0, np.array([0.5]), 0.5, 0.5)]
-        traj = Trajectory(samples, "discrete", sched)
+        traj = Trajectory([0.0, 1.0], [[1.0], [0.5]], [1.0, 0.5], [np.nan, np.nan],
+                          [0.0, 0.5], "discrete", sched)
         rep = rf.check_avg_inequality(traj, zero_map, [0.0])
         assert rep.excluded == 1 and rep.n_points == 1
 
