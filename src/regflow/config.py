@@ -158,10 +158,19 @@ def _wrap(path: str):
         raise ConfigError(path, str(exc)) from exc
 
 
-def _read(make, fields, node, path: str, dim):
-    """Parse ``fields`` of the object ``node`` in order and pass them to ``make``."""
+def _only(node: dict, keys, path: Optional[str]) -> None:
+    """Reject a key not in ``keys`` at ``path.key``, or at the key if ``path`` is None."""
+    for key in node:
+        if key not in keys:
+            raise ConfigError(key if path is None else f"{path}.{key}",
+                              f"unknown field; the fields here are {', '.join(keys)}")
+
+
+def _read(make, fields, node, path: str, dim, extra=()):
+    """Parse ``fields`` of ``node`` in order into ``make``; other keys but ``extra`` fail."""
     if not isinstance(node, dict):
         raise ConfigError(path, f"expected an object, got {type(node).__name__}")
+    _only(node, (*extra, *(key for key, *_ in fields)), path)
     with _wrap(path):
         values = [parse(node.get(key, *default) if default else _need(node, key, path),
                         f"{path}.{key}", dim)
@@ -178,7 +187,8 @@ def _build(kinds: dict, what: str, node, path: str, dim):
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"{path}.kind", f"unknown {what} kind {kind!r}")
     entry = kinds[kind]
-    return _read(*entry, node, path, dim) if isinstance(entry, tuple) else entry(dim)
+    make, fields = entry if isinstance(entry, tuple) else (lambda: entry(dim), ())
+    return _read(make, fields, node, path, dim, ("kind",))
 
 
 def build_set(node, path: str, dim: int) -> PrimitiveSet:
@@ -228,16 +238,12 @@ def build_schedule(node, path: str) -> LambdaSchedule:
 _WEIGHTED_OP = (("weight", _number), ("op", build_operator))
 
 
-def _weighted_ops(value, path: str, dim: int):
-    """combine's children as (ops, weights); the weights must arrive normalized."""
+def _weighted_ops(value, path: str, dim: int) -> Operator:
+    """combine's children as their convex combination, its errors at ``path.weights``."""
     read = _nonempty(lambda node, p, d: _read(lambda *pair: pair, _WEIGHTED_OP, node, p, d))
     weights, ops = zip(*read(value, path, dim))
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ConfigError(f"{path}.weights",
-                          f"weights must sum to 1 within 1e-12, got {sum(weights)!r}")
-    if any(w <= 0.0 for w in weights):
-        raise ConfigError(f"{path}.weights", "weights must be strictly positive")
-    return ops, weights
+    with _wrap(f"{path}.weights"):
+        return convex_combination(list(ops), weights)
 
 
 _SETS = {
@@ -263,7 +269,7 @@ _OPERATORS = {
                                             ("c", _vector), ("lipschitz", _number),
                                             ("step", _number))),
     "compose": (compose, (("children", _nonempty(build_operator)),)),
-    "combine": (lambda pair: convex_combination(*pair), (("children", _weighted_ops),)),
+    "combine": (lambda combination: combination, (("children", _weighted_ops),)),
     "relax": (relax, (("child", build_operator), ("lam", _number))),
 }
 
@@ -297,10 +303,15 @@ _REGULARITY = (("mode", _choice("linear", "hoelder"), "linear"),
                ("seed", check_seed, None),
                ("region", lambda node, path, dim: _read(Region, _REGION, node, path, dim)))
 _RANDOM_X0 = (("seed", check_seed, None), ("radius", _positive))
+_INTEGRATOR = ("method", "t_end", "rel_tol", "abs_tol", "h", "sample_stride", "sample_dt",
+               "sample_times")
+_SCENARIO = ("schema", "name", "dimension", "operator", "schedule", "integrator", "x0",
+             "fix_oracle", "outputs", "checks", "rate_fit", "regularity", "paper_ref")
 
 
 def build_integrator(node, path: str) -> IntegratorConfig:
     method = _need(node, "method", path)
+    _only(node, _INTEGRATOR, path)
     t_end = _number(_need(node, "t_end", path), f"{path}.t_end")
     kwargs = {key: _number(node[key], f"{path}.{key}")
               for key in ("rel_tol", "abs_tol", "h") if key in node}
@@ -327,6 +338,7 @@ def build_x0(node, path: str, dim: int) -> np.ndarray:
     if isinstance(node, list):
         return _vector(node, path, dim)
     if isinstance(node, dict) and "random" in node:
+        _only(node, ("random",), path)
         # uniform in the centered ball of the given radius
         seed, radius = _read(lambda *values: values, _RANDOM_X0, node["random"],
                              f"{path}.random", dim)
@@ -355,6 +367,7 @@ def build_scenario(cfg: dict) -> Scenario:
     schema = cfg.get("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"expected schema {SCHEMA_VERSION}, got {schema!r}")
+    _only(cfg, _SCENARIO, None)
     name = _need(cfg, "name", "$")
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "expected a nonempty string")

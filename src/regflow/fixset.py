@@ -20,6 +20,8 @@ from .validation import as_point, as_vector
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
+# The least Intersection tol: below it Dykstra stalls at roundoff until max_iter.
+_MIN_TOL = 1000 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -254,8 +256,9 @@ class Intersection(FixSetOracle):
         dim = sets[0].dim
         if any(s.dim != dim for s in sets):
             raise ConstructionError("intersection members must share one dimension")
-        if not tol > 0.0:
-            raise ConstructionError("tol must be positive")
+        if not tol >= _MIN_TOL:
+            raise ConstructionError(f"tol must be positive and at least {_MIN_TOL:.3g} "
+                                    f"(1000 ulps of 1), got {tol!r}")
         if max_iter < 1:
             raise ConstructionError(f"max_iter must be at least 1, got {max_iter}")
         self.sets = list(sets)

@@ -56,12 +56,10 @@ MAX_STEPS = 1_000_000
 class LambdaSchedule:
     """Measurable relaxation function lambda: [0, inf) -> [0, 1].
 
-    ``inf_value`` is inf lambda(t) and ``inf_product`` is inf lambda(1-lambda),
-    both exact for the closed-form variants below.
+    ``inf_value`` is inf lambda(t), exact for the closed-form variants below.
     """
 
     inf_value: float
-    inf_product: float
 
     def __call__(self, t):
         """lambda at a time ``t`` (a float) or at each entry of an array of times."""
@@ -90,10 +88,10 @@ class PiecewiseConstant(LambdaSchedule):
             raise UsageError("first segment must start at t=0")
         if np.any(np.diff(self.times) <= 0.0):
             raise UsageError("times must be strictly increasing")
-        if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
-            raise UsageError("values must lie in [0,1]")
+        outside = ~((self.values >= 0.0) & (self.values <= 1.0))
+        if outside.any():
+            raise UsageError(f"lambda must lie in [0,1], got {self.values[outside][0]}")
         self.inf_value = float(self.values.min())
-        self.inf_product = float((self.values * (1.0 - self.values)).min())
         self._starts = self.times[1:]  # the starts after the first piece's
 
     def __call__(self, t):
@@ -111,18 +109,15 @@ class Constant(PiecewiseConstant):
     """lambda(t) = value: one piece from t = 0."""
 
     def __init__(self, value: float):
-        value = float(value)
-        if not 0.0 <= value <= 1.0:
-            raise UsageError(f"lambda must lie in [0,1], got {value}")
-        super().__init__([0.0], [value])
-        self.value = value
+        self.value = float(value)
+        super().__init__([0.0], [self.value])
 
 
 class Sinusoid(LambdaSchedule):
     """clip(offset + amplitude * sin(omega t), 0, 1), an analytic schedule.
 
-    The clipped range is [clip(offset-|amplitude|), clip(offset+|amplitude|)]
-    and v(1-v) is concave, so both infima sit at the range endpoints.
+    The clipped range is [clip(offset-|amplitude|), clip(offset+|amplitude|)],
+    so its infimum is the lower endpoint.
     """
 
     def __init__(self, offset: float, amplitude: float, omega: float):
@@ -131,10 +126,7 @@ class Sinusoid(LambdaSchedule):
         self.offset = float(offset)
         self.amplitude = float(amplitude)
         self.omega = float(omega)
-        lo = min(max(self.offset - abs(self.amplitude), 0.0), 1.0)
-        hi = min(max(self.offset + abs(self.amplitude), 0.0), 1.0)
-        self.inf_value = lo
-        self.inf_product = min(lo * (1.0 - lo), hi * (1.0 - hi))
+        self.inf_value = min(max(self.offset - abs(self.amplitude), 0.0), 1.0)
 
     def __call__(self, t):
         # np.clip's values, -0.0 and nan included, without its Python-level wrapper
@@ -181,6 +173,8 @@ class IntegratorConfig:
                              f"the work budget is {MAX_STEPS}")
         if not (0.0 < self.rel_tol < 1.0 and self.abs_tol > 0.0):
             raise UsageError("tolerances must be positive, and rel_tol below 1")
+        if self.rel_tol < _MIN_RTOL:
+            raise UsageError(f"rel_tol must be at least {_MIN_RTOL:.3g}, the solver's floor")
         if self.sample_stride < 1:
             raise UsageError("sample_stride must be a positive integer")
         if self.sample_times is not None:
@@ -202,7 +196,7 @@ class IntegratorConfig:
 class Trajectory:
     """A run sampled at times ``t`` (n,), stored as read-only columns: states
     ``x`` (n, d), ``residual``, ``dist_fix`` (nan where not measured) and
-    ``speed``, each (n,). The constructor takes the five arrays over."""
+    ``speed``, each (n,). The constructor checks the shapes and takes the arrays over."""
 
     def __init__(self, t, x, residual, dist_fix, speed, mode: str,
                  schedule: Optional[LambdaSchedule],
@@ -212,6 +206,10 @@ class Trajectory:
         self.limit_estimate = limit_estimate
         self.info = {} if info is None else info
         columns = [np.asarray(c, dtype=float) for c in (t, x, residual, dist_fix, speed)]
+        shapes = [c.shape for c in columns]
+        if [len(s) for s in shapes] != [1, 2, 1, 1, 1] or len({s[0] for s in shapes}) != 1:
+            raise UsageError("expected t (n,), x (n, d) and residual, dist_fix, speed (n,), "
+                             f"got shapes {', '.join(map(str, shapes))}")
         for column in columns:
             column.flags.writeable = False
         self._t, self._x, self._residual, self._dist_fix, self._speed = columns

@@ -3,9 +3,9 @@
 Every constructor here yields a nonexpansive self-map of R^n whose ``fn`` maps
 a point ``(d,)`` or each row of a batch ``(n, d)``; ``Operator.__call__``
 validates once, combinators call their children's raw ``fn``. Metadata records
-an averagedness constant alpha and/or a strong-quasinonexpansiveness modulus
-rho only when the construction certifies one; combinators that cannot certify
-a modulus leave it unset rather than fabricate a value.
+an averagedness constant alpha, and with it the strong-quasinonexpansiveness
+modulus rho it implies, only when the construction certifies one; combinators
+that cannot certify a modulus leave it unset rather than fabricate a value.
 """
 
 from dataclasses import dataclass, field
@@ -14,18 +14,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionError, UsageError
-from .sets import Ball, Box, HalfSpace, Hyperplane, AffineSubspace, PrimitiveSet, matvec
+from .sets import PrimitiveSet, matvec
 from .validation import as_matrix, as_point, as_vector
-
-__all__ = [
-    "OperatorMeta", "Operator", "SimpleFunction", "Indicator", "L1Norm",
-    "Quadratic", "prox", "identity", "projector",
-    "reflect", "douglas_rachford", "forward_backward", "convex_combination",
-    "compose", "relax",
-    "HalfSpace", "Hyperplane", "AffineSubspace", "Box", "Ball", "PrimitiveSet",
-]
-
-_META_CONSISTENCY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,27 +23,20 @@ class OperatorMeta:
     """What is certified about an operator.
 
     alpha in (0,1) means T = (1-alpha)Id + alpha R with R nonexpansive; such a
-    T has SQNE modulus rho = (1-alpha)/alpha, so setting alpha fills rho in.
+    T has SQNE modulus rho = (1-alpha)/alpha.
     """
 
     label: str = ""
     alpha: Optional[float] = None
-    rho: Optional[float] = None
 
     def __post_init__(self):
-        if self.alpha is not None:
-            if not 0.0 < self.alpha < 1.0:
-                raise ConstructionError(f"alpha must lie in (0,1), got {self.alpha}")
-            implied = (1.0 - self.alpha) / self.alpha
-            if self.rho is None:
-                object.__setattr__(self, "rho", implied)
-            elif abs(self.rho - implied) > _META_CONSISTENCY_TOL * max(1.0, implied):
-                raise ConstructionError(
-                    f"rho={self.rho} inconsistent with alpha={self.alpha} "
-                    f"(expected {implied})"
-                )
-        if self.rho is not None and not self.rho > 0.0:
-            raise ConstructionError(f"rho must be positive, got {self.rho}")
+        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
+            raise ConstructionError(f"alpha must lie in (0,1), got {self.alpha}")
+
+    @property
+    def rho(self) -> Optional[float]:
+        """The SQNE modulus (1-alpha)/alpha that alpha certifies, or None without alpha."""
+        return None if self.alpha is None else (1.0 - self.alpha) / self.alpha
 
 
 @dataclass(frozen=True, eq=False)

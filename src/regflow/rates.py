@@ -257,8 +257,6 @@ def check_hoelder_rate_bound(
 
     with M0 built from (kappa, gamma, lam*) as in the proof chain.
     """
-    if not 0.0 < gamma < 1.0:
-        raise UsageError("gamma must lie in (0,1)")
     lam_star, t, d, err = _bound_inputs(traj, x_bar, "power-law")
     sel = t >= t_min
     if not np.any(sel):

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateEstimateError, UsageError
-from .fixset import FixSetOracle, Intersection, residual
+from .fixset import FixSetOracle, Intersection, _violation, residual
 from .flow import Trajectory, _schedule_of
 from .operators import Operator, compose, convex_combination
 from .sets import AffineSubspace, Ball, Box, HalfSpace, Hyperplane, PrimitiveSet, row_norm
@@ -212,7 +212,7 @@ def estimate_collection_regularity(
         oracle = Intersection(sets)
     pts = sample_region(region, n_samples, seed)
     tau, theta, max_violation, excluded = _certify(
-        pts, np.max([s.distance(pts) for s in sets], axis=0), oracle, mode,
+        pts, _violation(sets, pts), oracle, mode,
         "all samples lie in every set on this region")
     return CollectionEstimate(tau, theta, region, n_samples, max_violation, excluded)
 

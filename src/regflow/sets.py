@@ -180,7 +180,6 @@ class AffineSubspace(PrimitiveSet):
             u, s, _ = np.linalg.svd(basis, full_matrices=False)
             keep = s > RANK_TOL * max(s[0], 1.0)
             self.onb = u[:, keep]
-        self.rank = self.onb.shape[1]
 
     project = PrimitiveSet.project
 

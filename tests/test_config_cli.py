@@ -258,10 +258,26 @@ class TestCLIRun:
         ("run", minimal_config(integrator={"method": "rk45", "t_end": 1.0, "sample_dt": 0.1,
                                            "sample_times": [0.0, 0.5, 1.0]}),
          "integrator.sample_times"),
+        # unknown keys, which would otherwise be dropped without a word
+        ("run", minimal_config(check=["descent"]), "check"),
+        ("run", minimal_config(integrator={"method": "rk45", "t_end": 1.0,
+                                           "sample_dtt": 0.1}), "integrator.sample_dtt"),
+        ("reg", minimal_config(fix_oracle={"kind": "point", "point": [0.0, 0.0]},
+                               regularity={"n_sample": 100, "seed": 0, "region": {
+                                   "center": [0.0, 0.0], "radius": 1.0}}),
+         "regularity.n_sample"),
+        ("run", minimal_config(operator={"kind": "identity", "bogus": 1}), "operator.bogus"),
+        ("run", minimal_config(operator={"kind": "combine", "children": [
+            {"weight": 1.0, "op": {"kind": "identity"}, "wieght": 1.0}]}),
+         "operator.children[0].wieght"),
+        ("run", minimal_config(x0={"random": {"seed": 0, "radius": 1.0}, "seed": 0}),
+         "x0.seed"),
     ], ids=["reg_without_oracle", "not_an_object", "unknown_check",
             "regularity_without_oracle", "uneven_sample_dt", "string_x0", "zero_radius",
             "unknown_metric", "childless_compose", "negative_weight", "scalar_basis",
-            "list_integrator", "sample_dt_and_sample_times"])
+            "list_integrator", "sample_dt_and_sample_times", "misspelled_checks",
+            "misspelled_integrator_key", "misspelled_regularity_key",
+            "key_of_a_fieldless_kind", "misspelled_weight", "key_beside_random"])
     def test_config_error_exits_2_naming_the_field(self, tmp_path, capsys, command, cfg,
                                                    field):
         path = tmp_path / "cfg.json"
@@ -269,6 +285,7 @@ class TestCLIRun:
         assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("integrator", [
         {"method": "rk45", "t_end": 1e12, "sample_dt": 1.0},   # 1e12 sample times
@@ -1009,6 +1026,9 @@ def _run_mutated(root, cfg, data):
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
+    insertable = value is not DELETE and isinstance(parent, dict)
+    if insertable and data.draw(st.booleans(), label="insert"):
+        path = path[:-1] + (data.draw(TEXT, label="key"),)  # a key beside the drawn one
     if value is DELETE:
         del parent[path[-1]]
     else:
@@ -1017,9 +1037,10 @@ def _run_mutated(root, cfg, data):
         tmp = Path(tmp)
         cfg_path, out = tmp / "cfg.json", tmp / "a" / "b" / "c" / "out"
         cfg_path.write_text(json.dumps(cfg))
-        assert main(["run", str(cfg_path), "--out-dir", str(out)]) in (0, 1, 2, 3)
-        assert [p for p in root.rglob("*") if p.is_file()
-                and p != cfg_path and out not in p.parents] == []
+        for command in (["run"], ["reg", "--samples", "100"]):
+            assert main([*command, str(cfg_path), "--out-dir", str(out)]) in (0, 1, 2, 3)
+            assert [p for p in root.rglob("*") if p.is_file()
+                    and p != cfg_path and out not in p.parents] == []
 
 
 def test_mutated_config_keeps_exit_contract(tmp_path):

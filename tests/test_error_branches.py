@@ -56,16 +56,24 @@ ROWS = [
     ("integrator_rel_tol_one",
      lambda: config_with(integrator={"method": "rk45", "t_end": 1.0, "rel_tol": 1.0}),
      rf.ConfigError, "integrator: tolerances must be positive, and rel_tol below 1"),
+    ("integrator_rel_tol_floor",
+     lambda: config_with(integrator={"method": "rk45", "t_end": 1.0, "rel_tol": 1e-20}),
+     rf.ConfigError, "integrator: rel_tol must be at least 2.22e-14"),
     ("integrator_stride", lambda: rf.IntegratorConfig("rk45", 1.0, sample_stride=0),
      rf.UsageError, "sample_stride must be a positive integer"),
     ("metric_unknown", lambda: traj().metric("speed"), rf.UsageError,
      "unknown metric 'speed'"),
+    ("trajectory_flat_states",
+     lambda: Trajectory([0.0, 1.0], [1.0, 2.0], *np.zeros((3, 2)), "continuous", None),
+     rf.UsageError, "got shapes (2,), (2,), (2,), (2,), (2,)"),
+    ("trajectory_lengths",
+     lambda: Trajectory([0, 1, 2], [[1.0], [2.0]], [1, 1, 1], [np.nan] * 3, [1, 1, 1],
+                        "discrete", None),
+     rf.UsageError, "got shapes (3,), (2, 1), (3,), (3,), (3,)"),
     ("trajectory_without_schedule",
      lambda: rf.check_avg_inequality(traj(schedule=None), zero_map(), [0.0]),
      rf.UsageError, "trajectory carries no schedule"),
     # functions, operators and their metadata
-    ("meta_rho", lambda: rf.OperatorMeta(rho=0.0), rf.ConstructionError,
-     "rho must be positive, got 0.0"),
     ("l1_weight", lambda: rf.L1Norm(-1.0), rf.ConstructionError,
      "l1 weight must be nonnegative"),
     ("quadratic_shape", lambda: rf.Quadratic(np.eye(2), [0.0]), rf.ConstructionError,
@@ -149,6 +157,11 @@ ROWS = [
     # configs and the bundled corpus
     ("rate_fit_not_an_object", lambda: config_with(rate_fit=[1]), rf.ConfigError,
      "rate_fit: expected an object"),
+    ("intersection_tol_floor",
+     lambda: config_with(fix_oracle={"kind": "intersection", "tol": 1e-300, "max_iter": 1000,
+                                     "sets": [{"kind": "ball", "center": [0.0, 1.0],
+                                               "radius": 1.0}]}),
+     rf.ConfigError, "fix_oracle: tol must be positive and at least 2.22e-13"),
     ("scenario_unknown", lambda: scenario_config("nope"), KeyError,
      "no bundled scenario named 'nope'"),
 ]

@@ -12,7 +12,6 @@ class TestSchedules:
     def test_constant_infima(self):
         s = rf.Constant(0.25)
         assert s.inf_value == 0.25
-        assert s.inf_product == 0.25 * 0.75
         assert s(0.0) == s(17.3) == 0.25
 
     @pytest.mark.parametrize("v", [0.0, 5e-324, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7,
@@ -31,7 +30,6 @@ class TestSchedules:
             assert lam.dtype == float and lam.shape == np.shape(ts)
             assert lam.tobytes() == np.full(np.shape(ts), value).tobytes()
         assert s.inf_value == value and type(s.inf_value) is float
-        assert s.inf_product == value * (1.0 - value) and type(s.inf_product) is float
         assert s.breakpoints(10.0) == [] and s.breakpoints(0.5) == []
         assert s.is_unit_aligned() is True
 
@@ -46,7 +44,6 @@ class TestSchedules:
         assert s(2.0) == 0.25 and s(4.0) == 0.25
         assert s(5.0) == 0.5 and s(100.0) == 0.5
         assert s.inf_value == 0.25
-        assert s.inf_product == min(0.0, 0.25 * 0.75, 0.25)  # value 1.0 gives 0
 
     def test_piecewise_validation(self):
         with pytest.raises(rf.UsageError):
@@ -59,16 +56,13 @@ class TestSchedules:
     def test_sinusoid_unclipped_infima(self):
         s = rf.Sinusoid(0.75, 0.2, 1.0)
         assert s.inf_value == pytest.approx(0.55)
-        assert s.inf_product == pytest.approx(min(0.55 * 0.45, 0.95 * 0.05))
         ts = np.linspace(0.0, 20.0, 4001)
         vals = np.array([s(t) for t in ts])
         assert vals.min() >= s.inf_value - 1e-12
-        assert (vals * (1 - vals)).min() >= s.inf_product - 1e-12
 
     def test_sinusoid_clipped_infima(self):
         s = rf.Sinusoid(0.5, 1.0, 2.0)  # clips at both ends
         assert s.inf_value == 0.0
-        assert s.inf_product == 0.0
         assert 0.0 <= s(1.3) <= 1.0
 
     @pytest.mark.parametrize("sched", [

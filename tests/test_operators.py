@@ -277,7 +277,7 @@ class TestCertificates:
     def test_meta_alpha_fills_rho(self):
         m = rf.OperatorMeta(alpha=0.25)
         assert m.rho == pytest.approx(3.0)
-        with pytest.raises(rf.ConstructionError):
-            rf.OperatorMeta(alpha=0.5, rho=2.0)
+        with pytest.raises(TypeError):  # rho follows alpha; it is not set on its own
+            rf.OperatorMeta(rho=1.0)
         with pytest.raises(rf.ConstructionError):
             rf.OperatorMeta(alpha=1.5)
