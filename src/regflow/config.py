@@ -87,11 +87,13 @@ def load_config(path) -> dict:
         raise ConfigError(str(path), f"invalid JSON: {exc}")
 
 
-def _need(node: dict, key: str, path: str):
+def _need(node: dict, key: str, path: Optional[str]):
+    """``node[key]``; a missing key is named at ``path.key``, or at the key if
+    ``path`` is None (a top-level field)."""
     if not isinstance(node, dict):
         raise ConfigError(path, f"expected an object, got {type(node).__name__}")
     if key not in node:
-        raise ConfigError(f"{path}.{key}", "missing required field")
+        raise ConfigError(key if path is None else f"{path}.{key}", "missing required field")
     return node[key]
 
 
@@ -368,19 +370,19 @@ def build_scenario(cfg: dict) -> Scenario:
     if schema != SCHEMA_VERSION:
         raise ConfigError("schema", f"expected schema {SCHEMA_VERSION}, got {schema!r}")
     _only(cfg, _SCENARIO, None)
-    name = _need(cfg, "name", "$")
+    name = _need(cfg, "name", None)
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "expected a nonempty string")
     # artifacts are <out-dir>/<name>_<suffix>, and file names stop at 255 bytes
     if "/" in name or "\\" in name or not name.isprintable() or len(name.encode()) > 200:
         raise ConfigError("name", "expected a plain file name (artifacts are <name>_*): "
                           "printable, at most 200 UTF-8 bytes, with no '/' or '\\'")
-    dim = _count(_need(cfg, "dimension", "$"), "dimension")
+    dim = _count(_need(cfg, "dimension", None), "dimension")
 
-    operator = build_operator(_need(cfg, "operator", "$"), "operator", dim)
-    schedule = build_schedule(_need(cfg, "schedule", "$"), "schedule")
-    integrator = build_integrator(_need(cfg, "integrator", "$"), "integrator")
-    x0 = build_x0(_need(cfg, "x0", "$"), "x0", dim)
+    operator = build_operator(_need(cfg, "operator", None), "operator", dim)
+    schedule = build_schedule(_need(cfg, "schedule", None), "schedule")
+    integrator = build_integrator(_need(cfg, "integrator", None), "integrator")
+    x0 = build_x0(_need(cfg, "x0", None), "x0", dim)
 
     oracle = None
     if "fix_oracle" in cfg:

@@ -11,6 +11,17 @@ than 8 entries left to right from 0.0, ``((0.0 + v0) + v1) + ...``, and longer
 rows in pairwise blocks; ``row_sum`` does the short-row sum as column adds over
 all rows at once (scalar adds for a point, array adds for a large batch) and
 leaves everything else to ``np.add.reduce``.
+
+One row of fewer than 8 entries, a point ``(d,)`` or a one-row batch ``(1, d)``
+(Dykstra's shape for a point), is where numpy's per-call cost is the whole
+cost. ``validation.short_row`` picks it out by shape alone, and ``matvec``,
+``gap_norm`` and the half-space, hyperplane and ball kernels then do numpy's
+operations in Python floats, in numpy's order: elementwise products and
+differences, sums from 0.0 left to right (``_dot``), one correctly rounded
+square root. The result is numpy's bit for bit, with the same type and shape,
+and a fresh array. These paths never call builtin ``sum`` (compensated from
+Python 3.12), ``math.fsum``, ``math.hypot``, ``math.dist``, ``math.sumprod``
+or ``**``. A row whose norm overflows takes the numpy path and its rescue.
 """
 
 import math
@@ -18,13 +29,15 @@ import math
 import numpy as np
 
 from .errors import ConstructionError
-from .validation import as_matrix, as_point, as_vector
+from .validation import as_matrix, as_point, as_vector, short_row
 
 # Rank decisions when orthonormalizing affine bases.
 RANK_TOL = 1e-12
 # Batches of at least this many rows are summed by columns in ``row_sum``. Below
 # it one reduction call costs less than d array adds (numpy 2.4.6, x86-64: a
-# (1, 2) row 2.0 us against 4.3 us), and Dykstra runs a point as one such row.
+# (1, 2) row 2.0 us against 4.3 us). Dykstra runs a point as a (1, d) row: one
+# of fewer than 8 entries takes the kernels' Python-float paths (``short_row``),
+# a longer one this reduction.
 COLUMN_ROWS = 128
 
 
@@ -55,19 +68,39 @@ def row_norm(v: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-@np.errstate(over="ignore", under="ignore")  # cheaper per call than a with block
+def _dot(u, v) -> float:
+    """Sum of ``u[k] * v[k]`` from 0.0 in entry order: numpy's sum of a short row."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _row_like(values, x: np.ndarray) -> np.ndarray:
+    """``values`` as a fresh float array shaped like the single row ``x``."""
+    return np.array(values if x.ndim == 1 else [values])
+
+
 def gap_norm(x: np.ndarray, w: np.ndarray):
     """``row_norm(x - w)`` with no warning: inf where the distance leaves the float
     range, and finite wherever it does not. A row whose squares overflow is
     measured again, scaled by a power of two; every other row is ``row_norm``'s."""
-    d = x - w
-    norms = row_norm(d)
-    if isinstance(norms, float):  # one point: a check in Python floats
-        return float(_scaled_norm(d)) if math.isinf(norms) else norms
-    huge = np.isinf(norms)
-    if huge.any():
-        norms[huge] = _scaled_norm(d[huge])
-    return norms
+    xs, ws = short_row(x), short_row(w)
+    if xs is not None and ws is not None and x.shape == w.shape:
+        gaps = [a - b for a, b in zip(xs, ws)]
+        norm = math.sqrt(_dot(gaps, gaps))
+        if norm != math.inf:
+            return norm if x.ndim == 1 else np.array([norm])
+    # numpy's path, the short rows whose squares overflow included; the errstate
+    # covers this path only, since Python floats neither warn nor raise
+    with np.errstate(over="ignore", under="ignore"):
+        d = x - w
+        rows = np.atleast_2d(d)  # a point as one row
+        norms = row_norm(rows)
+        huge = np.isinf(norms)
+        if huge.any():
+            norms[huge] = _scaled_norm(rows[huge])
+    return float(norms[0]) if d.ndim == 1 else norms
 
 
 def _scaled_norm(d: np.ndarray):
@@ -79,7 +112,10 @@ def _scaled_norm(d: np.ndarray):
 
 def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``m @ x`` for each row of ``x``."""
-    return row_sum(x[..., None, :] * m)
+    row = short_row(x)
+    if row is None:
+        return row_sum(x[..., None, :] * m)
+    return _row_like([_dot(row, r) for r in m.tolist()], x)
 
 
 class PrimitiveSet:
@@ -127,11 +163,20 @@ class _Linear(PrimitiveSet):
                                     f"squared norm in the float range, got {self._nsq:g}")
         self.offset = float(offset)
         self.dim = self.normal.shape[0]
+        self._a = self.normal.tolist()
 
     def _excess(self, x):
         """(<a, x> - b) / ||a||^2 per row, shaped to broadcast against ``x``."""
         dot = row_sum(x * self.normal)[..., None]
         return (dot - self.offset) / self._nsq
+
+    def _row_excess(self, row) -> float:
+        """``_excess`` of a short row of Python floats."""
+        return (_dot(row, self._a) - self.offset) / self._nsq
+
+    def _row_step(self, row, excess: float) -> list:
+        """``x - excess * a`` on a short row of Python floats."""
+        return [v - excess * a for v, a in zip(row, self._a)]
 
 
 class HalfSpace(_Linear):
@@ -140,6 +185,10 @@ class HalfSpace(_Linear):
     project = PrimitiveSet.project
 
     def _project(self, x):
+        row = short_row(x)
+        if row is not None:
+            excess = self._row_excess(row)
+            return _row_like(self._row_step(row, excess) if excess > 0.0 else row, x)
         excess = self._excess(x)
         return np.where(excess > 0.0, x - excess * self.normal, x)
 
@@ -150,6 +199,9 @@ class Hyperplane(_Linear):
     project = PrimitiveSet.project
 
     def _project(self, x):
+        row = short_row(x)
+        if row is not None:
+            return _row_like(self._row_step(row, self._row_excess(row)), x)
         return x - self._excess(x) * self.normal
 
 
@@ -212,10 +264,20 @@ class Ball(PrimitiveSet):
         if not self.radius > 0.0:
             raise ConstructionError("ball radius must be positive")
         self.dim = self.center.shape[0]
+        self._c = self.center.tolist()
 
     project = PrimitiveSet.project
 
     def _project(self, x):
+        row = short_row(x)
+        if row is not None:
+            d = [v - c for v, c in zip(row, self._c)]
+            nrm = math.sqrt(_dot(d, d))
+            if nrm <= self.radius:
+                return _row_like(row, x)
+            if nrm != math.inf:  # an overflowing norm takes the rescue below
+                scale = self.radius / nrm  # nan for a nan row, as numpy's
+                return _row_like([c + scale * g for c, g in zip(self._c, d)], x)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             d = x - self.center
             nrm = row_norm(d[..., None, :])  # shaped (..., 1)

@@ -1,8 +1,30 @@
-"""Input validation helpers."""
+"""Input validation helpers, and the rule that sends a single short row to the
+point kernels' Python-float paths."""
+
+import math
 
 import numpy as np
 
 from .errors import UsageError
+
+_FLOAT = np.dtype(float)
+
+
+def short_row(x) -> list[float] | None:
+    """``x``'s entries as Python floats when ``x`` is one float64 row, ``(d,)`` or
+    ``(1, d)`` with 0 < d < 8; otherwise None, and the caller keeps its numpy path.
+
+    Below 8 entries numpy sums a row left to right from 0.0, which a Python loop
+    can repeat bit for bit (see ``regflow.sets`` for the rules such a path keeps).
+    """
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+        return None
+    shape = x.shape
+    if len(shape) == 1:
+        return x.tolist() if 0 < shape[0] < 8 else None
+    if len(shape) == 2 and shape[0] == 1 and 0 < shape[1] < 8:
+        return x.tolist()[0]
+    return None
 
 
 def _checked(x, dim: int | None, name: str, ndims: tuple, shape: str) -> np.ndarray:
@@ -11,7 +33,8 @@ def _checked(x, dim: int | None, name: str, ndims: tuple, shape: str) -> np.ndar
         arr = arr.reshape(1)  # as np.atleast_1d, less overhead
     if arr.ndim not in ndims:
         raise UsageError(f"{name} must be {shape}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    row = short_row(arr)
+    if not (np.isfinite(arr).all() if row is None else all(map(math.isfinite, row))):
         raise UsageError(f"{name} must be finite (no NaN/Inf)")
     if dim is not None and arr.shape[-1] != dim:
         raise UsageError(f"{name} has dimension {arr.shape[-1]}, expected {dim}")

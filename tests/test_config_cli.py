@@ -34,6 +34,13 @@ def minimal_config(**overrides):
     return cfg
 
 
+def without(key):
+    """``minimal_config()`` with the top-level field ``key`` left out."""
+    cfg = minimal_config()
+    del cfg[key]
+    return cfg
+
+
 class TestConfigValidation:
     def test_minimal_builds(self):
         sc = build_scenario(minimal_config())
@@ -272,12 +279,18 @@ class TestCLIRun:
          "operator.children[0].wieght"),
         ("run", minimal_config(x0={"random": {"seed": 0, "radius": 1.0}, "seed": 0}),
          "x0.seed"),
+        # a top-level field is named by its bare key, missing or wrong alike
+        ("run", without("name"), "name"),
+        ("run", minimal_config(name=""), "name"),
+        ("run", without("operator"), "operator"),
+        ("run", without("dimension"), "dimension"),
     ], ids=["reg_without_oracle", "not_an_object", "unknown_check",
             "regularity_without_oracle", "uneven_sample_dt", "string_x0", "zero_radius",
             "unknown_metric", "childless_compose", "negative_weight", "scalar_basis",
             "list_integrator", "sample_dt_and_sample_times", "misspelled_checks",
             "misspelled_integrator_key", "misspelled_regularity_key",
-            "key_of_a_fieldless_kind", "misspelled_weight", "key_beside_random"])
+            "key_of_a_fieldless_kind", "misspelled_weight", "key_beside_random",
+            "missing_name", "blank_name", "missing_operator", "missing_dimension"])
     def test_config_error_exits_2_naming_the_field(self, tmp_path, capsys, command, cfg,
                                                    field):
         path = tmp_path / "cfg.json"

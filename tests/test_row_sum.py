@@ -1,12 +1,15 @@
 """``row_sum`` is ``np.add.reduce(v, axis=-1)`` bit for bit, and the kernels and
-oracles built on it (``row_norm``, Dykstra) answer a batch row like a point."""
+oracles built on it (``row_norm``, Dykstra) answer a batch row like a point;
+a single short row's Python-float path answers like numpy's."""
 
 import numpy as np
 import pytest
 
 import regflow as rf
 from regflow.scenarios import load_scenario
-from regflow.sets import COLUMN_ROWS, row_norm, row_sum
+from regflow.errors import UsageError
+from regflow.sets import COLUMN_ROWS, gap_norm, matvec, row_norm, row_sum
+from regflow.validation import as_point, short_row
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
 
@@ -155,3 +158,95 @@ def test_dykstra_error_names_the_first_failing_row(max_iter):
         rf.dykstra_project(sets, pts, max_iter=max_iter)
     assert_batch_is_rows(sets, pts, max_iter=max_iter)
     assert_batch_is_rows(sets, np.tile(pts, (COLUMN_ROWS, 1)), max_iter=max_iter)
+
+
+def short_kernels(d):
+    """Every kernel with a short-row path, as a function of x, for dimension d."""
+    rng = np.random.default_rng(d)
+    a, c = rng.standard_normal(d), rng.standard_normal(d)
+    m = rng.standard_normal((3, d))
+    return {"halfspace": rf.HalfSpace(a, 0.0)._project,  # excess 0 at a row of zeros
+            "hyperplane": rf.Hyperplane(a, -0.2)._project,
+            "ball": rf.Ball(c, 0.7)._project,
+            "matvec": lambda x: matvec(m, x),
+            "gap_norm": lambda x: gap_norm(x, np.resize(c, x.shape))}
+
+
+def short_rows(d):
+    """Random rows with specials (see ``values``), signed zeros, subnormals, rows
+    whose products or squares overflow, nan and inf rows, and a row where a
+    compensated sum would differ from numpy's left-to-right one."""
+    rows = list(values((40, d), seed=200 + d))
+    rows += [np.full(d, -0.0), np.resize([0.0, -0.0], d), np.resize([5e-324, -1e-310], d),
+             np.resize([1e200, -3.0], d), np.full(d, -1e200), np.resize([np.nan, 1.0], d),
+             np.resize([1.0, np.inf], d)]
+    if d >= 3:
+        rows.append(np.resize([1e16, 1.0, -1e16], d))
+    return rows
+
+
+def nan_bits(v):
+    v = np.asarray(v, dtype=float)
+    return np.where(np.isnan(v), np.nan, v).view(np.int64)
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_short_row_is_one_row_of_fewer_than_8(d):
+    v = np.arange(float(d))
+    want = v.tolist() if 0 < d < 8 else None
+    assert short_row(v) == want and short_row(v[None]) == want
+    for other in (np.tile(v, (2, 1)), v[None, None], np.zeros((0, d)), v.astype(np.float32),
+                  v.tolist()):
+        assert short_row(other) is None
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("kernel", ["halfspace", "hyperplane", "ball", "matvec", "gap_norm"])
+def test_short_row_answers_like_a_batch_row(kernel, d):
+    # a point (d,) and a one-row batch (1, d) take the Python-float path below
+    # d = 8, a two-row batch numpy's: the row reads the same on all three
+    f = short_kernels(d)[kernel]
+    rows = short_rows(d)
+    with np.errstate(all="ignore"):
+        for r, other in zip(rows, rows[1:] + rows[:1]):
+            want = f(np.vstack([r, other]))[0]
+            x, x1 = r.copy(), r[None].copy()
+            point, one = f(x), f(x1)
+            if kernel == "gap_norm":
+                assert type(point) is float
+                assert isinstance(one, np.ndarray) and one.shape == (1,)
+            else:
+                assert point.shape == np.shape(want) and one.shape == (1,) + np.shape(want)
+                assert not np.shares_memory(point, x) and not np.shares_memory(one, x1)
+            assert np.asarray(one).dtype == np.float64
+            np.testing.assert_array_equal(nan_bits(point), nan_bits(want))
+            np.testing.assert_array_equal(nan_bits(one[0]), nan_bits(want))
+
+
+def test_short_sums_run_left_to_right():
+    # compensated summation gives 1.0 here, numpy's left-to-right order 0.0
+    x = np.array([1e16, 1.0, -1e16])
+    ones = np.ones(3)
+    assert matvec(ones[None], x)[0] == 0.0
+    np.testing.assert_array_equal(rf.HalfSpace(ones, 0.5).project(x), x)
+    np.testing.assert_array_equal(rf.Hyperplane(ones, 0.0).project(x), x)
+
+
+def test_overflowing_half_space_step_stays_inf_and_nan():
+    # the right-hand side of a run from [1e200, ...] turns [-inf, nan] and is rejected
+    h = rf.HalfSpace([1e150, 0.0], 0.0)
+    for x in (np.array([1e200, 1.0]), np.array([[1e200, 1.0]])):
+        np.testing.assert_array_equal(h._project(x).ravel(), [-np.inf, np.nan])
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_as_point_rejects_a_non_finite_short_row(d, bad):
+    for k in range(d):
+        x = np.resize([5e-324, -0.0, 1e308], d)
+        x[k] = bad
+        for q in (x, x[None], x.tolist()):
+            with pytest.raises(UsageError, match=r"^x must be finite \(no NaN/Inf\)$"):
+                as_point(q, d)
+    x = np.resize([5e-324, -0.0, 1e308], d)
+    np.testing.assert_array_equal(as_point(x[None], d), x[None])
