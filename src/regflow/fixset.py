@@ -222,7 +222,11 @@ class ExactSet(FixSetOracle):
 
 
 class SinglePoint(FixSetOracle):
-    """Fix T known to be a single point."""
+    """Fix T known to be a single point.
+
+    The witness is a fresh copy of the point (one per row of a batch), so its
+    certificate is exactly 0: ``0.0`` for a point, zeros ``(n,)`` for a batch.
+    """
 
     def __init__(self, point):
         self.point = as_vector(point, name="point")
@@ -230,9 +234,11 @@ class SinglePoint(FixSetOracle):
 
     def distance_to(self, x) -> DistanceResult:
         x = as_point(x, self.dim)
+        if x.ndim == 1:
+            return DistanceResult(gap_norm(x, self.point), self.point.copy(), 0.0)
         w = np.empty_like(x)
         w[...] = self.point
-        return DistanceResult(gap_norm(x, w), w, row_norm(w - self.point))
+        return DistanceResult(gap_norm(x, w), w, np.zeros(x.shape[0]))
 
 
 class Intersection(FixSetOracle):

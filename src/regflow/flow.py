@@ -196,7 +196,12 @@ class IntegratorConfig:
 class Trajectory:
     """A run sampled at times ``t`` (n,), stored as read-only columns: states
     ``x`` (n, d), ``residual``, ``dist_fix`` (nan where not measured) and
-    ``speed``, each (n,). The constructor checks the shapes and takes the arrays over."""
+    ``speed``, each (n,). The constructor checks the shapes and takes the arrays over.
+
+    ``dist_fix_oracle`` is the oracle that measured ``dist_fix``. Only
+    ``_finalize``, the one place that measures, sets it; a trajectory built any
+    other way (read from CSV, by hand, or refreshed without an oracle) has None.
+    """
 
     def __init__(self, t, x, residual, dist_fix, speed, mode: str,
                  schedule: Optional[LambdaSchedule],
@@ -205,6 +210,7 @@ class Trajectory:
         self.schedule = schedule
         self.limit_estimate = limit_estimate
         self.info = {} if info is None else info
+        self.dist_fix_oracle: Optional[FixSetOracle] = None
         columns = [np.asarray(c, dtype=float) for c in (t, x, residual, dist_fix, speed)]
         shapes = [c.shape for c in columns]
         if [len(s) for s in shapes] != [1, 2, 1, 1, 1] or len({s[0] for s in shapes}) != 1:
@@ -326,8 +332,8 @@ def _finalize(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOra
     """Trajectory through ``times`` (n,) and ``states`` (n, d), arrays it takes
     over: residual and speed from one batch evaluation of T and lambda,
     dist_fix from ``oracle`` one sample at a time, as
-    perfbench/test_perfbench_trace.py counts (else ``dists``, else nan);
-    oracle failures name the sample."""
+    perfbench/test_perfbench_trace.py counts, recorded as measured by it (else
+    ``dists``, else nan, measured by none); oracle failures name the sample."""
     res = residual(op, states)
     speed = schedule(times) * res
     if oracle is not None:
@@ -341,14 +347,18 @@ def _finalize(op: Operator, schedule: LambdaSchedule, oracle: Optional[FixSetOra
     elif dists is None:
         dists = np.full(times.size, np.nan)
     limit = states[-1].copy() if res[-1] < LIMIT_RESIDUAL_TOL else None
-    return Trajectory(times, states, res, dists, speed, mode, schedule, limit, info)
+    traj = Trajectory(times, states, res, dists, speed, mode, schedule, limit, info)
+    traj.dist_fix_oracle = oracle
+    return traj
 
 
 def sample_metrics(traj: Trajectory, op: Operator,
                    oracle: Optional[FixSetOracle] = None) -> Trajectory:
     """Recompute residual/speed (and dist_fix when an oracle is given). Idempotent.
 
-    Oracle failures propagate with the index of the offending sample.
+    The result records ``oracle`` as the one that measured dist_fix; without
+    one it keeps the old column but records no oracle. Oracle failures
+    propagate with the index of the offending sample.
     """
     return _finalize(op, _schedule_of(traj), oracle, traj.times(), traj.states(),
                      traj.mode, dict(traj.info), traj.metric("dist_fix"))

@@ -100,8 +100,9 @@ def fit_decay(
     already converged; nothing to fit). Raises FitError when fewer than 10
     positive samples, or fewer than two distinct times, are available, or when
     the squares of the fit variable (t or log t) or the fitted constant M leave
-    the float range. Raises UsageError when the metric has no finite sample
-    (``dist_fix`` of a run without an oracle), which is not convergence.
+    the float range (the squares sum to inf, or all underflow to 0). Raises
+    UsageError when the metric has no finite sample (``dist_fix`` of a run
+    without an oracle), which is not convergence.
     """
     if model not in ("exponential", "powerlaw"):
         raise UsageError(f"model must be 'exponential' or 'powerlaw', got {model!r}")
@@ -122,7 +123,7 @@ def fit_decay(
     design = t if model == "exponential" else np.log(t)
     with np.errstate(over="ignore"):
         squares = np.sum(design * design)  # what polyfit scales its design column by
-    if not math.isfinite(squares):
+    if not 0.0 < squares < math.inf:  # 0: every square underflowed (times near 1e-300)
         raise FitError(f"{model} fit in window {win}: the squares of the fit variable "
                        "leave the float range")
     slope, intercept = np.polyfit(design, logy, 1)

@@ -262,6 +262,10 @@ def check_descent(
     The left sides are discretized, so the default tolerance scales with the
     sample spacing (10 * max dt, calibrated on a flow with a known closed-form
     solution, where the discretization error is O(dt^2)).
+
+    d(x, Fix T) is the trajectory's ``dist_fix`` when ``oracle`` measured it,
+    else one batched query of ``oracle``; a batch row answers like the point
+    alone, so both give the same report.
     """
     schedule = _schedule_of(traj)
     ts = traj.times()
@@ -278,7 +282,11 @@ def check_descent(
     x_star = _fixed_point(op, x_star)
 
     xs = traj.states()
-    d2 = oracle.distance_to(xs).distance ** 2
+    if oracle is not None and traj.dist_fix_oracle is oracle:
+        d = traj.metric("dist_fix")
+    else:
+        d = oracle.distance_to(xs).distance
+    d2 = d ** 2
     e2 = row_norm(xs - x_star) ** 2
     lam = schedule(ts[1:-1])
     span = ts[2:] - ts[:-2]

@@ -8,9 +8,9 @@ exactly like the same point alone. Every such sum (``row_norm``, ``matvec``,
 the half-space and hyperplane dot products) is ``row_sum``, which returns
 ``np.add.reduce(v, axis=-1)`` bit for bit. numpy (2.x) reduces a row of fewer
 than 8 entries left to right from 0.0, ``((0.0 + v0) + v1) + ...``, and longer
-rows in pairwise blocks; ``row_sum`` does the short-row sum as column adds over
-all rows at once (scalar adds for a point, array adds for a large batch) and
-leaves everything else to ``np.add.reduce``.
+rows in pairwise blocks; ``row_sum`` does the short-row sum of a large batch as
+array adds over its columns and leaves everything else, a point included, to
+``np.add.reduce``.
 
 One row of fewer than 8 entries, a point ``(d,)`` or a one-row batch ``(1, d)``
 (Dykstra's shape for a point), is where numpy's per-call cost is the whole
@@ -44,15 +44,14 @@ COLUMN_ROWS = 128
 def row_sum(v: np.ndarray):
     """``np.add.reduce(v, axis=-1)`` of a float array, bit for bit, same type and shape.
 
-    A row of fewer than 8 entries is summed as numpy sums it, left to right
-    from 0.0 (so a row of -0.0 sums to +0.0), but column by column over all
-    rows at once: one scalar add per entry for a point, one array add per
-    entry for a batch of at least ``COLUMN_ROWS`` rows. Any other row length
-    is numpy's own pairwise reduction, and so is a smaller batch, where one
-    reduction call costs less than ``d`` array adds.
+    A batch of at least ``COLUMN_ROWS`` rows of fewer than 8 entries is summed
+    as numpy sums such a row, left to right from 0.0 (so a row of -0.0 sums to
+    +0.0), but column by column over all rows at once: one array add per entry.
+    A point, a smaller batch (where one reduction call costs less than ``d``
+    array adds) and any other row length go to ``np.add.reduce`` itself.
     """
     d = v.shape[-1]
-    if not 0 < d < 8 or (v.ndim > 1 and v.size < COLUMN_ROWS * d):
+    if v.ndim < 2 or not 0 < d < 8 or v.size < COLUMN_ROWS * d:
         return np.add.reduce(v, axis=-1)
     cols = v.T  # cols[k] is entry k of every row, transposed for 3-D and up
     total = 0.0 + cols[0]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import regflow as rf
@@ -574,6 +574,51 @@ class TestCLIRun:
                       "dr_two_halfspaces_km_report.json"):
             assert (a / fname).read_bytes() == (b / fname).read_bytes()
 
+    @pytest.mark.parametrize("name", CONTINUOUS)
+    def test_run_measures_each_state_once(self, name, monkeypatch, tmp_path, capsys):
+        # the scenario oracle answers each trajectory state inside _finalize, one
+        # row a query; outside it only the estimator's sample batch and x*: descent
+        # reads the trajectory's dist_fix
+        queries, states, stack = [], [], []
+
+        def inside(label, fn):
+            def wrapped(*args, **kwargs):
+                stack.append(label)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    stack.pop()
+            return wrapped
+
+        def build(cfg):
+            sc = build_scenario(cfg)
+            query = sc.oracle.distance_to
+
+            def counted(x):
+                queries.append((stack[-1] if stack else None, np.atleast_2d(x).shape[0]))
+                return query(x)
+
+            sc.oracle.distance_to = counted
+            return sc
+
+        def integrate(*args, **kwargs):
+            traj = integrate_flow(*args, **kwargs)
+            states.append(traj.times().size)
+            return traj
+
+        monkeypatch.setattr(regflow.flow, "_finalize",
+                            inside("finalize", regflow.flow._finalize))
+        monkeypatch.setattr(regflow.cli, "estimate_operator_regularity",
+                            inside("estimate", regflow.cli.estimate_operator_regularity))
+        monkeypatch.setattr(regflow.cli, "build_scenario", build)
+        monkeypatch.setattr(regflow.cli, "integrate_flow", integrate)
+        assert main(["run", name, "--out-dir", str(tmp_path)]) == 0
+        measured = [q for q in queries if q[0] == "finalize"]
+        assert measured == [("finalize", 1)] * states[0]
+        assert [q for q in queries if q[0] is None] == [(None, 1)]
+        assert all(label == "estimate" and rows > 1 for label, rows in queries
+                   if label not in ("finalize", None))
+
 
 class TestCLIRate:
     def test_rate_on_exported_csv(self, tmp_path, capsys):
@@ -615,6 +660,20 @@ class TestCLIRate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exponential fit in window (3e+300, 1.9e+301): the squares" in captured.err
+
+    @pytest.mark.parametrize("model", ["exp", "auto"])
+    def test_rate_squared_times_underflowing_to_zero_exits_3(self, tmp_path, capfd, model):
+        # unguarded, polyfit scales its design column by 0 and LAPACK prints and fails
+        path = tmp_path / "traj.csv"
+        path.write_text(TINY_TIMES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["rate", str(path), "--model", model]) == 3
+        captured = capfd.readouterr()  # the file descriptors: LAPACK writes there
+        assert captured.out == ""
+        assert captured.err == ("numeric error: exponential fit in window (3e-300, "
+                                "1.9e-299): the squares of the fit variable leave the "
+                                "float range\n")
 
     @pytest.mark.parametrize("model", ["exp", "auto"])
     def test_rate_dist_fix_of_a_run_without_oracle_exits_2(self, tmp_path, capsys, model):
@@ -1054,10 +1113,68 @@ def _run_mutated(root, cfg, data):
             assert main([*command, str(cfg_path), "--out-dir", str(out)]) in (0, 1, 2, 3)
             assert [p for p in root.rglob("*") if p.is_file()
                     and p != cfg_path and out not in p.parents] == []
+        for csv_path in out.glob("*_trajectory.csv"):
+            assert main(["rate", str(csv_path)]) in (0, 2, 3)
 
 
 def test_mutated_config_keeps_exit_contract(tmp_path):
     _run_mutated(tmp_path)
+
+
+# times and metric values at the edges of the float range
+HOSTILE = [0.0, 5e-324, 1e-300, 1e300, 1.7e308]
+HOSTILE_VALUES = st.sampled_from(HOSTILE + [-1.0, 1.0]) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def hostile_csvs(draw):
+    """A trajectory CSV of up to 25 rows: times on a grid at a hostile scale or
+    drawn (sorted, so repeats stand side by side), and residual and dist_fix
+    halving from a hostile scale or drawn freely, dist_fix possibly blank."""
+    n = draw(st.integers(0, 25))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from(HOSTILE[1:] + [1.0]))
+        times = [i * step for i in range(n)]
+    else:
+        times = sorted(draw(st.lists(st.sampled_from(HOSTILE) | st.floats(0.0, 50.0),
+                                     min_size=n, max_size=n)))
+
+    def series():
+        if draw(st.booleans()):
+            scale = draw(st.sampled_from(HOSTILE + [1.0]))
+            return [repr(scale * 0.5 ** i) for i in range(n)]
+        return [repr(v) for v in draw(st.lists(HOSTILE_VALUES, min_size=n, max_size=n))]
+
+    residual = series()
+    dist = [""] * n if draw(st.booleans()) else series()
+    return "t,x_0,residual,dist_fix,speed\n" + "".join(
+        f"{t!r},0,{r},{d},0\n" for t, r, d in zip(times, residual, dist))
+
+
+TINY_TIMES = "t,x_0,residual,dist_fix,speed\n" + "".join(
+    f"{i * 1e-300!r},0,{0.5 ** i!r},{0.5 ** i!r},0\n" for i in range(20))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=hostile_csvs(), model=st.sampled_from(["exp", "pow", "auto"]),
+       metric=st.sampled_from([None, "residual", "dist_fix"]))
+@example(text=TINY_TIMES, model="exp", metric=None)  # squared times underflowed to 0
+def test_rate_on_hostile_csv_keeps_exit_contract(tmp_path, capfd, text, model, metric):
+    path = tmp_path / "traj.csv"
+    path.write_text(text)
+    argv = ["rate", str(path), "--model", model] + (["--metric", metric] if metric else [])
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any numpy warning fails the example
+        code = main(argv)
+    err = capfd.readouterr().err  # the file descriptors: LAPACK prints there
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(("numeric error: ", "config error: "))
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_one_parser_per_process_keeps_no_state(monkeypatch, capsys):

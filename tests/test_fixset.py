@@ -90,6 +90,18 @@ class TestOracles:
         assert oracle.distance_to([1.0, 1.0]).distance == 0.0
         assert oracle.distance_to([4.0, 5.0]).distance == 5.0
 
+    def test_single_point_witness_is_a_fresh_copy_with_zero_certificate(self):
+        oracle = rf.SinglePoint([1.0, 1.0])
+        r = oracle.distance_to([4.0, 5.0])
+        assert type(r.certified_tol) is float and r.certified_tol == 0.0
+        assert r.witness.tolist() == [1.0, 1.0] and r.witness is not oracle.point
+        r.witness[0] = 7.0
+        batch = oracle.distance_to([[4.0, 5.0], [1.0, 1.0], [1.0, 2.0]])
+        assert batch.certified_tol.dtype == float and batch.certified_tol.shape == (3,)
+        assert not batch.certified_tol.any() and not np.signbit(batch.certified_tol).any()
+        assert batch.witness.tolist() == [[1.0, 1.0]] * 3
+        assert batch.distance.tolist() == [5.0, 0.0, 1.0]
+
     def test_intersection_orthant(self):
         oracle = rf.Intersection([rf.HalfSpace([1.0, 0.0], 0.0),
                                   rf.HalfSpace([0.0, 1.0], 0.0)])

@@ -467,6 +467,22 @@ class TestSampleMetrics:
         again = rf.sample_metrics(filled, two_lines["op"], two_lines["oracle"])
         np.testing.assert_array_equal(_columns(filled), _columns(again))
 
+    def test_records_the_oracle_that_measured_dist_fix(self, two_lines, tmp_path):
+        cfg = rf.IntegratorConfig("rk45", 3.0, sample_times=(1.0, 2.0, 3.0))
+        traj = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(1.0), cfg)
+        assert traj.dist_fix_oracle is None
+        other = rf.Intersection(list(two_lines["sets"]))
+        filled = rf.sample_metrics(traj, two_lines["op"], two_lines["oracle"])
+        assert filled.dist_fix_oracle is two_lines["oracle"]
+        remeasured = rf.sample_metrics(filled, two_lines["op"], other)
+        assert remeasured.dist_fix_oracle is other
+        # refreshed without an oracle, the column stays but no oracle measured it
+        kept = rf.sample_metrics(remeasured, two_lines["op"])
+        assert kept.dist_fix_oracle is None
+        np.testing.assert_array_equal(kept.metric("dist_fix"), filled.metric("dist_fix"))
+        filled.to_csv(tmp_path / "traj.csv")
+        assert rf.Trajectory.from_csv(tmp_path / "traj.csv").dist_fix_oracle is None
+
     def test_identity_flow_all_residuals_zero(self):
         I = rf.identity(2)
         cfg = rf.IntegratorConfig("rk45", 2.0, sample_times=(1.0, 2.0))

@@ -12,6 +12,7 @@ from regflow.regularity import (
     check_sqne,
     hoelder_exponent_domination_constant,
 )
+from regflow.scenarios import CONTINUOUS, load_scenario
 from conftest import SIN60, pairs_in_ball
 
 
@@ -215,6 +216,25 @@ class TestAvgInequality:
             rf.check_avg_inequality(traj, zero_map, [3.0])
 
 
+def query_counter(oracle):
+    """Rows passed to ``oracle.distance_to`` per call, recorded on the instance."""
+    calls, query = [], oracle.distance_to
+
+    def counted(x):
+        calls.append(np.atleast_2d(x).shape[0])
+        return query(x)
+
+    oracle.distance_to = counted
+    return calls
+
+
+def unmeasured(traj):
+    """``traj``'s columns in a trajectory that records no measuring oracle."""
+    return Trajectory(traj.times(), traj.states(), traj.metric("residual"),
+                      traj.metric("dist_fix"), traj._speed, traj.mode, traj.schedule,
+                      traj.limit_estimate, traj.info)
+
+
 class TestDescent:
     def run_flow(self, op, x0, lam, t_end, dt, oracle):
         times = tuple(np.linspace(0.0, t_end, int(round(t_end / dt)) + 1))
@@ -273,6 +293,31 @@ class TestDescent:
         traj = self.run_flow(zero_map, [1.0], 1.0, 1.0, 0.02, oracle)
         rep = rf.check_descent(traj, zero_map, oracle, [0.0])
         assert rep.tolerance == pytest.approx(0.2, rel=1e-6)
+
+    @pytest.mark.parametrize("name", CONTINUOUS)
+    def test_measured_column_gives_the_queried_report(self, name):
+        sc = load_scenario(name)
+        traj = rf.integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator,
+                                 oracle=sc.oracle)
+        assert traj.dist_fix_oracle is sc.oracle
+        x_star = sc.oracle.distance_to(sc.x0).witness
+        calls = query_counter(sc.oracle)
+        read = rf.check_descent(traj, sc.operator, sc.oracle, x_star)
+        assert calls == []
+        queried = rf.check_descent(unmeasured(traj), sc.operator, sc.oracle, x_star)
+        assert calls == [traj.times().size]
+        assert read == queried  # field for field, and worst_slack bit for bit:
+        assert np.signbit(read.worst_slack) == np.signbit(queried.worst_slack)
+
+    def test_another_oracle_is_queried(self, two_lines):
+        traj = self.run_flow(two_lines["op"], [4.0, 3.0], 1.0, 2.0, 0.05,
+                             two_lines["oracle"])
+        other = rf.Intersection(list(two_lines["sets"]))
+        calls = query_counter(other)
+        rep = rf.check_descent(traj, two_lines["op"], other, [0.0, 0.0])
+        assert calls == [traj.times().size]
+        assert rep == rf.check_descent(traj, two_lines["op"], two_lines["oracle"],
+                                       [0.0, 0.0])
 
 
 class TestBoundLemmas:
