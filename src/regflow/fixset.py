@@ -7,16 +7,31 @@ not just a number. Oracles answer a point ``(d,)`` or, row-wise, a batch
 ``(n, d)``, validated once on entry. An intersection of sets is answered in
 closed form where it has one (boxes intersect in a box, one clip; affine sets
 in an affine set, one matrix product) and by Dykstra's algorithm otherwise.
+
+``run`` asks one point at a time, once per recorded sample. A short row
+(``validation.short_row``: a point or one-row batch of fewer than 8 entries)
+is answered in Python floats on the sets' row kernels (``_row_project``, see
+``regflow.sets``), in numpy's order, so the result equals the same row of a
+batch query bit for bit, in numpy's types: floats for a point, ``(1,)``
+arrays for a one-row batch. ``ExactSet`` clips twice and measures two gaps,
+``SinglePoint`` one gap, the affine solve takes the factored ``M x + shift``
+and its certificate from the row kernels, and Dykstra cycles on lists with
+the numpy loop's stopping rule and errors, measuring its certificate through
+each set's public ``distance``. Where a row kernel declines a row (an
+overflowing ball norm), or a witness is not finite, the query takes the numpy
+path from the start.
 """
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .errors import ConstructionError, ConvergenceError, UsageError
-from .sets import Box, Hyperplane, PrimitiveSet, gap_norm, is_affine, matvec, row_norm
-from .validation import as_point, as_vector
+from .sets import (Box, Hyperplane, PrimitiveSet, _dot, gap_norm, is_affine, matvec, row_norm,
+                   short_gap_norm)
+from .validation import as_point, as_vector, short_row
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
@@ -50,6 +65,33 @@ def _violation(sets: list[PrimitiveSet], witness: np.ndarray):
     return float(worst) if np.ndim(worst) == 0 else worst
 
 
+def _maximum(a: float, b: float) -> float:
+    """``np.maximum`` of two floats: a nan wins, a tie gives ``b``."""
+    return a if a > b or a != a else b
+
+
+def _row_violation(sets: list[PrimitiveSet], witness: list) -> float | None:
+    """``_violation`` of a finite short row from the row kernels, or None where
+    a set's kernel declines it."""
+    worst = None
+    for s in sets:
+        w = s._row_project(witness)
+        if w is None:
+            return None
+        gap = short_gap_norm(witness, w)
+        worst = gap if worst is None else _maximum(worst, gap)
+    return worst
+
+
+def _row_result(x: np.ndarray, row: list, witness: list, certified: float) -> DistanceResult:
+    """The answer for the short row ``x`` (``row`` as floats) in numpy's types:
+    floats for a point ``(d,)``, ``(1,)`` arrays for a one-row batch ``(1, d)``."""
+    distance = short_gap_norm(row, witness)
+    if x.ndim == 1:
+        return DistanceResult(distance, np.array(witness), certified)
+    return DistanceResult(np.array([distance]), np.array([witness]), np.array([certified]))
+
+
 class _FactoredAffine(tuple):
     """Affine sets with the projector onto their intersection factored once:
     the minimum-norm correction x - R^+(Rx - r) = Mx + shift of the stacked
@@ -70,6 +112,7 @@ class _FactoredAffine(tuple):
         pinv = np.linalg.pinv(R, rcond=1e-13)
         self.matrix = np.eye(R.shape[1]) - pinv @ R
         self.shift = pinv @ r
+        self._rows, self._shifts = self.matrix.tolist(), self.shift.tolist()
         return self
 
 
@@ -99,6 +142,14 @@ def affine_intersection_project(sets: list[PrimitiveSet], x) -> DistanceResult:
             raise UsageError("affine_intersection_project requires affine sets only")
         sets = _FactoredAffine(sets)
     x = as_point(x, sets[0].dim)
+    row = short_row(x)
+    if row is not None:  # matvec's sums, then the shift; a non-finite witness takes
+        # the numpy path, whose public distance rejects it
+        witness = [_dot(row, m) + c for m, c in zip(sets._rows, sets._shifts)]
+        if all(map(math.isfinite, witness)):
+            certified = _row_violation(sets, witness)
+            if certified is not None:
+                return _row_result(x, row, witness, certified)
     witness = matvec(sets.matrix, x) + sets.shift
     return DistanceResult(gap_norm(x, witness), witness, _violation(sets, witness))
 
@@ -127,7 +178,8 @@ def dykstra_project(
     run on to ``max_iter``. Raises
     ConvergenceError naming the first failing row, carrying the best iterates
     (their violation measured at the end), if ``max_iter`` cycles are exhausted
-    first.
+    first. A short row cycles on lists of floats (``_dykstra_row``), with the
+    same results and errors.
     """
     if not sets:
         raise UsageError("need at least one set")
@@ -140,6 +192,14 @@ def dykstra_project(
         if s.dim != dim:
             raise UsageError("all sets must share one ambient dimension")
     x = as_point(x, dim)
+    row = short_row(x)
+    answer = None if row is None else _dykstra_row(sets, row, tol, max_iter)
+    if answer is not None:
+        z, certified, met = answer
+        result = _row_result(x, row, z, certified)
+        if not met:
+            raise ConvergenceError(_unmet(tol, max_iter, 0, certified), result=result)
+        return result
 
     z = np.atleast_2d(x)
     out, rows = z.copy(), np.arange(z.shape[0])  # rows: those still cycling
@@ -162,9 +222,7 @@ def dykstra_project(
                 continue
             done = movement < tol
             if not done.any():  # neither moving nor stopped: a nan movement
-                raise UsageError(
-                    f"Dykstra iterate at row {rows[np.argmin(moving)]} must be finite "
-                    f"(no NaN/Inf): a projection left the float range")
+                raise UsageError(_NAN_MOVEMENT.format(rows[np.argmin(moving)]))
             # the violation is measured only on rows that stopped moving
             every = done.all()
             violation = _violation(sets, z if every else z[done])
@@ -188,12 +246,53 @@ def dykstra_project(
         out, certified = out[0], float(certified[0])
     result = DistanceResult(gap_norm(x, out), out, certified)
     if rows.size:
-        raise ConvergenceError(
-            f"Dykstra did not meet tol={tol:g} within {max_iter} cycles at row "
-            f"{rows[0]} (violation {np.atleast_1d(result.certified_tol)[rows[0]]:.3e})",
-            result=result,
-        )
+        violation = np.atleast_1d(result.certified_tol)[rows[0]]
+        raise ConvergenceError(_unmet(tol, max_iter, rows[0], violation), result=result)
     return result
+
+
+_NAN_MOVEMENT = ("Dykstra iterate at row {} must be finite (no NaN/Inf): a projection "
+                 "left the float range")
+
+
+def _unmet(tol: float, max_iter: int, row: int, violation: float) -> str:
+    return (f"Dykstra did not meet tol={tol:g} within {max_iter} cycles at row {row} "
+            f"(violation {violation:.3e})")
+
+
+def _dykstra_row(sets: list[PrimitiveSet], row: list, tol: float, max_iter: int):
+    """``dykstra_project``'s loop on one short row of Python floats, step for step
+    in the numpy loop's arithmetic, stopping rule and nan-movement error.
+    Returns (witness, certified_tol, met), or None as soon as a set's row
+    kernel declines a row: the query then starts again on the numpy loop. The
+    violation is measured through each set's public ``distance``."""
+    z = row
+    increments = [[0.0] * len(row) for _ in sets]
+    for _ in range(max_iter):
+        z_prev = z
+        for i, s in enumerate(sets):
+            shifted = [a + b for a, b in zip(z, increments[i])]
+            z = s._row_project(shifted)
+            if z is None:
+                return None
+            increments[i] = [a - b for a, b in zip(shifted, z)]
+        steps = [a - b for a, b in zip(z, z_prev)]
+        movement = math.sqrt(_dot(steps, steps))  # row_norm's: inf on overflow
+        if movement >= tol:
+            continue
+        if not movement < tol:
+            raise UsageError(_NAN_MOVEMENT.format(0))
+        violation = _point_violation(sets, z)
+        if violation < tol:
+            return z, violation, True
+    return z, _point_violation(sets, z), False
+
+
+def _point_violation(sets: list[PrimitiveSet], z: list) -> float:
+    """``_violation`` of one row through each set's public ``distance``, reduced
+    in floats."""
+    point = np.array(z)
+    return reduce(_maximum, (s.distance(point) for s in sets))
 
 
 class FixSetOracle:
@@ -214,6 +313,13 @@ class ExactSet(FixSetOracle):
 
     def distance_to(self, x) -> DistanceResult:
         x = as_point(x, self.dim)
+        row = short_row(x)
+        if row is not None:  # a row the kernel declines, or not finite, takes numpy's path
+            w = self.set._row_project(row)
+            if w is not None and all(map(math.isfinite, w)):
+                ww = self.set._row_project(w)
+                if ww is not None:
+                    return _row_result(x, row, w, short_gap_norm(w, ww))
         w = self.set._project(x)
         if not np.isfinite(w).all():
             raise UsageError("the nearest point must be finite (no NaN/Inf): the "
@@ -231,9 +337,13 @@ class SinglePoint(FixSetOracle):
     def __init__(self, point):
         self.point = as_vector(point, name="point")
         self.dim = self.point.shape[0]
+        self._p = self.point.tolist()
 
     def distance_to(self, x) -> DistanceResult:
         x = as_point(x, self.dim)
+        row = short_row(x)
+        if row is not None:
+            return _row_result(x, row, self._p, 0.0)
         if x.ndim == 1:
             return DistanceResult(gap_norm(x, self.point), self.point.copy(), 0.0)
         w = np.empty_like(x)

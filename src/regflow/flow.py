@@ -233,6 +233,10 @@ class Trajectory:
     def states(self) -> np.ndarray:
         return self._x
 
+    def speeds(self) -> np.ndarray:
+        """lambda(t) ||x - T(x)|| per sample, the CSV's speed column."""
+        return self._speed
+
     @property
     def dim(self) -> int:
         return self._x.shape[1]

@@ -76,8 +76,8 @@ def _window_data(traj: Trajectory, metric: str, model: str,
         if model == "powerlaw":
             above &= t >= POWERLAW_MIN_T
         idx = np.flatnonzero(above)
-        if idx.size == 0:
-            return t[:0], y[:0], (0.0, 0.0)
+        if idx.size == 0:  # no window at all: fit_decay names the rule instead
+            return t[:0], y[:0], None
         keep = idx[int(math.floor(idx.size * (1.0 - WINDOW_TAIL_FRACTION))):]
         lo, hi = float(t[keep[0]]), float(t[keep[-1]])
     else:
@@ -98,7 +98,9 @@ def fit_decay(
 
     Returns None when the metric is identically zero in the window (the run
     already converged; nothing to fit). Raises FitError when fewer than 10
-    positive samples, or fewer than two distinct times, are available, or when
+    positive samples, or fewer than two distinct times, are available (with no
+    window given and no sample above ``METRIC_FLOOR``, at t >= ``POWERLAW_MIN_T``
+    for a power law, the error names the data's times and that rule), or when
     the squares of the fit variable (t or log t) or the fitted constant M leave
     the float range (the squares sum to inf, or all underflow to 0). Raises
     UsageError when the metric has no finite sample (``dist_fix`` of a run
@@ -112,6 +114,13 @@ def fit_decay(
         raise UsageError("trajectory lacks dist_fix samples; rerun with an oracle")
     if t.size == 0 and np.nanmax(np.abs(raw)) == 0.0:
         return None
+    if win is None:
+        times = traj.times()
+        rule = f"above the floor {METRIC_FLOOR:g}"
+        if model == "powerlaw":
+            rule += f" at t >= {POWERLAW_MIN_T:g}, where power-law fits start"
+        raise FitError(f"no sample of {metric!r} in the data's times "
+                       f"{(float(times.min()), float(times.max()))} is {rule}; need >= 10")
     if t.size < 10:
         raise FitError(
             f"only {t.size} positive samples of {metric!r} in window {win}; need >= 10"

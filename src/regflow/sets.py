@@ -12,16 +12,22 @@ rows in pairwise blocks; ``row_sum`` does the short-row sum of a large batch as
 array adds over its columns and leaves everything else, a point included, to
 ``np.add.reduce``.
 
-One row of fewer than 8 entries, a point ``(d,)`` or a one-row batch ``(1, d)``
-(Dykstra's shape for a point), is where numpy's per-call cost is the whole
-cost. ``validation.short_row`` picks it out by shape alone, and ``matvec``,
-``gap_norm`` and the half-space, hyperplane and ball kernels then do numpy's
-operations in Python floats, in numpy's order: elementwise products and
-differences, sums from 0.0 left to right (``_dot``), one correctly rounded
-square root. The result is numpy's bit for bit, with the same type and shape,
-and a fresh array. These paths never call builtin ``sum`` (compensated from
-Python 3.12), ``math.fsum``, ``math.hypot``, ``math.dist``, ``math.sumprod``
-or ``**``. A row whose norm overflows takes the numpy path and its rescue.
+One row of fewer than 8 entries, a point ``(d,)`` or a one-row batch ``(1, d)``,
+is where numpy's per-call cost is the whole cost. ``validation.short_row``
+picks it out by shape alone. Each set kind has a row kernel,
+``_row_project(row: list[float]) -> list[float] | None``: ``_project`` calls it
+on such a row, and the Fix-set oracles (``regflow.fixset``) call it on lists
+directly, so a query turns its row into floats once. ``matvec`` and
+``gap_norm`` (``short_gap_norm`` on two lists) have the same short paths. They
+do numpy's operations in Python floats, in numpy's order: elementwise products
+and differences, sums from 0.0 left to right (``_dot``), one correctly rounded
+square root, and the box clip as ``np.maximum`` then ``np.minimum`` (a tie
+gives the bound, a nan stays). The result is numpy's bit for bit, with the
+same type and shape, and a fresh array. These paths never call builtin ``sum``
+(compensated from Python 3.12), ``math.fsum``, ``math.hypot``, ``math.dist``,
+``math.sumprod`` or ``**``. A row kernel returns None where only numpy answers,
+a ball row whose norm overflows, and ``_project`` then takes the numpy kernel
+``_array_project`` and its rescue; so does ``gap_norm`` for such a row.
 """
 
 import math
@@ -35,9 +41,9 @@ from .validation import as_matrix, as_point, as_vector, short_row
 RANK_TOL = 1e-12
 # Batches of at least this many rows are summed by columns in ``row_sum``. Below
 # it one reduction call costs less than d array adds (numpy 2.4.6, x86-64: a
-# (1, 2) row 2.0 us against 4.3 us). Dykstra runs a point as a (1, d) row: one
-# of fewer than 8 entries takes the kernels' Python-float paths (``short_row``),
-# a longer one this reduction.
+# (1, 2) row 2.0 us against 4.3 us). Dykstra's numpy loop runs a point as a
+# (1, d) row: one of fewer than 8 entries cycles on the row kernels instead
+# (``short_row``), a longer one takes this reduction.
 COLUMN_ROWS = 128
 
 
@@ -86,12 +92,26 @@ def gap_norm(x: np.ndarray, w: np.ndarray):
     measured again, scaled by a power of two; every other row is ``row_norm``'s."""
     xs, ws = short_row(x), short_row(w)
     if xs is not None and ws is not None and x.shape == w.shape:
-        gaps = [a - b for a, b in zip(xs, ws)]
-        norm = math.sqrt(_dot(gaps, gaps))
-        if norm != math.inf:
-            return norm if x.ndim == 1 else np.array([norm])
-    # numpy's path, the short rows whose squares overflow included; the errstate
-    # covers this path only, since Python floats neither warn nor raise
+        norm = short_gap_norm(xs, ws)
+        return norm if x.ndim == 1 else np.array([norm])
+    return _array_gap_norm(x, w)
+
+
+def short_gap_norm(a: list, b: list) -> float:
+    """``gap_norm`` of two short rows of Python floats, as a float."""
+    total = 0.0  # _dot of the gaps with themselves, without the list
+    for u, v in zip(a, b):
+        gap = u - v
+        total += gap * gap
+    norm = math.sqrt(total)
+    if norm == math.inf:  # the squares overflowed: numpy's path and its rescue
+        return _array_gap_norm(np.array(a), np.array(b))
+    return norm
+
+
+def _array_gap_norm(x: np.ndarray, w: np.ndarray):
+    """``gap_norm``'s numpy path; its errstate covers this path only, since
+    Python floats neither warn nor raise."""
     with np.errstate(over="ignore", under="ignore"):
         d = x - w
         rows = np.atleast_2d(d)  # a point as one row
@@ -120,8 +140,9 @@ def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 class PrimitiveSet:
     """A closed convex subset of R^n with an exact nearest-point projector.
 
-    Subclasses implement ``_project`` and re-bind ``project`` in their own
-    namespace, so per-class tracing (``perfbench/spans.py``) can wrap it.
+    Subclasses implement the numpy kernel ``_array_project`` and, for one
+    short row of Python floats, ``_row_project``; they re-bind ``project`` in
+    their own namespace, so per-class tracing (``perfbench/spans.py``) can wrap it.
     """
 
     dim: int
@@ -131,6 +152,22 @@ class PrimitiveSet:
         return self._project(as_point(x, self.dim))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        """The raw kernel on a validated ``x``: a short row (``short_row``) goes
+        to ``_row_project``, anything else, or a row it declines, to numpy."""
+        row = short_row(x)
+        if row is not None:
+            out = self._row_project(row)
+            if out is not None:
+                return _row_like(out, x)
+        return self._array_project(x)
+
+    def _row_project(self, row: list[float]) -> list[float] | None:
+        """Nearest point of one short row, numpy's bit for bit, or None where
+        only numpy's path answers. The result may be ``row`` itself: callers
+        never mutate either."""
+        return None
+
+    def _array_project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def distance(self, x):
@@ -183,11 +220,11 @@ class HalfSpace(_Linear):
 
     project = PrimitiveSet.project
 
-    def _project(self, x):
-        row = short_row(x)
-        if row is not None:
-            excess = self._row_excess(row)
-            return _row_like(self._row_step(row, excess) if excess > 0.0 else row, x)
+    def _row_project(self, row):
+        excess = self._row_excess(row)
+        return self._row_step(row, excess) if excess > 0.0 else row
+
+    def _array_project(self, x):
         excess = self._excess(x)
         return np.where(excess > 0.0, x - excess * self.normal, x)
 
@@ -197,10 +234,10 @@ class Hyperplane(_Linear):
 
     project = PrimitiveSet.project
 
-    def _project(self, x):
-        row = short_row(x)
-        if row is not None:
-            return _row_like(self._row_step(row, self._row_excess(row)), x)
+    def _row_project(self, row):
+        return self._row_step(row, self._row_excess(row))
+
+    def _array_project(self, x):
         return x - self._excess(x) * self.normal
 
 
@@ -231,10 +268,19 @@ class AffineSubspace(PrimitiveSet):
             u, s, _ = np.linalg.svd(basis, full_matrices=False)
             keep = s > RANK_TOL * max(s[0], 1.0)
             self.onb = u[:, keep]
+        self._o, self._onb, self._onb_t = (
+            self.offset.tolist(), self.onb.tolist(), self.onb.T.tolist())
 
     project = PrimitiveSet.project
 
-    def _project(self, x):
+    def _row_project(self, row):
+        # matvec's sums on the row: coefficients in the basis, then back (k = 0
+        # sums nothing, 0.0, as numpy's empty sum)
+        diff = [v - o for v, o in zip(row, self._o)]
+        coef = [_dot(diff, q) for q in self._onb_t]
+        return [o + _dot(coef, r) for o, r in zip(self._o, self._onb)]
+
+    def _array_project(self, x):
         return self.offset + matvec(self.onb, matvec(self.onb.T, x - self.offset))
 
 
@@ -247,10 +293,22 @@ class Box(PrimitiveSet):
         if np.any(self.lower > self.upper):
             raise ConstructionError("box requires lower <= upper componentwise")
         self.dim = self.lower.shape[0]
+        self._lo, self._hi = self.lower.tolist(), self.upper.tolist()
 
     project = PrimitiveSet.project
 
-    def _project(self, x):
+    def _row_project(self, row):
+        out = []
+        for v, lo, hi in zip(row, self._lo, self._hi):
+            # np.maximum, then np.minimum: a nan stays, a tie gives the bound
+            if v <= lo:
+                v = lo
+            if v >= hi:
+                v = hi
+            out.append(v)
+        return out
+
+    def _array_project(self, x):
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
@@ -267,16 +325,17 @@ class Ball(PrimitiveSet):
 
     project = PrimitiveSet.project
 
-    def _project(self, x):
-        row = short_row(x)
-        if row is not None:
-            d = [v - c for v, c in zip(row, self._c)]
-            nrm = math.sqrt(_dot(d, d))
-            if nrm <= self.radius:
-                return _row_like(row, x)
-            if nrm != math.inf:  # an overflowing norm takes the rescue below
-                scale = self.radius / nrm  # nan for a nan row, as numpy's
-                return _row_like([c + scale * g for c, g in zip(self._c, d)], x)
+    def _row_project(self, row):
+        d = [v - c for v, c in zip(row, self._c)]
+        nrm = math.sqrt(_dot(d, d))
+        if nrm <= self.radius:
+            return row
+        if nrm == math.inf:  # an overflowing norm takes numpy's rescue
+            return None
+        scale = self.radius / nrm  # nan for a nan row, as numpy's
+        return [c + scale * g for c, g in zip(self._c, d)]
+
+    def _array_project(self, x):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             d = x - self.center
             nrm = row_norm(d[..., None, :])  # shaped (..., 1)

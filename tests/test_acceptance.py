@@ -39,7 +39,7 @@ def test_criterion_01_km_euler_bit_identity():
         km = rf.km_iterate(sc.operator, sc.x0, sc.schedule, K, oracle=sc.oracle)
         elapsed = time.perf_counter() - start
         columns = [(traj.times(), traj.states(), traj.metric("residual"),
-                    traj.metric("dist_fix"), traj._speed) for traj in (eu, km)]
+                    traj.metric("dist_fix"), traj.speeds()) for traj in (eu, km)]
         identical = eu.times().size == km.times().size == K + 1 and all(
             np.array_equal(a, b, equal_nan=True) for a, b in zip(*columns))
         all_ok &= identical and elapsed < 1.0

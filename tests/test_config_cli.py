@@ -675,6 +675,18 @@ class TestCLIRate:
                                 "1.9e-299): the squares of the fit variable leave the "
                                 "float range\n")
 
+    def test_rate_power_law_with_no_sample_at_its_start_exits_3(self, tmp_path, capsys):
+        # every time lies below t = 1: the error names the times and the rule, not
+        # an empty window
+        path = tmp_path / "traj.csv"
+        path.write_text(TINY_TIMES)
+        assert main(["rate", str(path), "--model", "pow"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numeric error: no sample of 'dist_fix' in the data's times "
+                                "(0.0, 1.9e-299) is above the floor 1e-13 at t >= 1, where "
+                                "power-law fits start; need >= 10\n")
+
     @pytest.mark.parametrize("model", ["exp", "auto"])
     def test_rate_dist_fix_of_a_run_without_oracle_exits_2(self, tmp_path, capsys, model):
         rows = "".join(f"{i}.0,{0.5 ** i!r},{0.5 ** i!r},,0\n" for i in range(20))
@@ -901,7 +913,7 @@ class TestVerifyCLI:
         def km_short(*args, **kwargs):
             traj = km_iterate(*args, **kwargs)
             columns = (traj.times(), traj.states(), traj.metric("residual"),
-                       traj.metric("dist_fix"), traj._speed)
+                       traj.metric("dist_fix"), traj.speeds())
             return rf.Trajectory(*(column[:-1] for column in columns), traj.mode,
                                  traj.schedule, traj.limit_estimate, traj.info)
 

@@ -365,16 +365,21 @@ class TestDykstraStopTest:
                                    else "dr_two_halfspaces").oracle
             sets, tol, x = oracle.sets, oracle.tol, [3.0, -2.0]
         k = self.cycles_to_converge(sets, x, tol)
-        calls = []
-        for s in sets:
-            kernel = s._project
-            monkeypatch.setattr(s, "_project",
-                                lambda z, kernel=kernel: calls.append(1) or kernel(z))
-        result = rf.dykstra_project(sets, x, tol=tol, max_iter=1000)
         m = len(sets)
-        assert len(calls) == k * m + m
-        assert result.certified_tol < tol
-        assert result.certified_tol == max(s.distance(result.witness) for s in sets)
+        # count the kernel that runs: a point cycles on the row kernel, a two-row
+        # batch on numpy's (its rows are equal, so both stop after k cycles)
+        for name, query in (("_row_project", x), ("_project", [x, x])):
+            calls = []
+            with monkeypatch.context() as patch:
+                for s in sets:
+                    kernel = getattr(s, name)
+                    patch.setattr(s, name,
+                                  lambda z, kernel=kernel: calls.append(1) or kernel(z))
+                result = rf.dykstra_project(sets, query, tol=tol, max_iter=1000)
+            assert len(calls) == k * m + m
+            assert np.all(result.certified_tol < tol)
+            np.testing.assert_array_equal(
+                result.certified_tol, np.max([s.distance(result.witness) for s in sets], axis=0))
 
 
 class TestOracleOverflow:

@@ -598,7 +598,7 @@ class TestCSVBytes:
 def _columns(traj):
     """Every column of ``traj`` side by side: t, x, residual, dist_fix, speed."""
     return np.column_stack([traj.times(), traj.states(), traj.metric("residual"),
-                            traj.metric("dist_fix"), traj._speed])  # speed: no accessor
+                            traj.metric("dist_fix"), traj.speeds()])
 
 
 class TestColumns:
@@ -614,6 +614,15 @@ class TestColumns:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 7.0
         assert _columns(traj).tobytes() == before
+
+    def test_speeds_is_the_read_only_speed_column(self, two_lines):
+        cfg = rf.IntegratorConfig("rk45", 2.0, sample_times=(1.0, 2.0))
+        traj = rf.integrate_flow(two_lines["op"], [4.0, 3.0], rf.Constant(1.0), cfg)
+        speed = traj.speeds()
+        np.testing.assert_array_equal(speed, traj.metric("residual"))  # lambda = 1
+        assert speed is traj.speeds() and speed.shape == traj.times().shape
+        with pytest.raises(ValueError, match="read-only"):
+            speed[0] = 7.0
 
     def test_constructor_takes_the_columns_over(self):
         t, x = np.arange(3.0), np.ones((3, 2))

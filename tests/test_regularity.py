@@ -231,7 +231,7 @@ def query_counter(oracle):
 def unmeasured(traj):
     """``traj``'s columns in a trajectory that records no measuring oracle."""
     return Trajectory(traj.times(), traj.states(), traj.metric("residual"),
-                      traj.metric("dist_fix"), traj._speed, traj.mode, traj.schedule,
+                      traj.metric("dist_fix"), traj.speeds(), traj.mode, traj.schedule,
                       traj.limit_estimate, traj.info)
 
 

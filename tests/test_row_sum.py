@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import regflow as rf
-from regflow.scenarios import load_scenario
 from regflow.errors import UsageError
+from regflow.flow import MAX_STEPS
+from regflow.scenarios import BUNDLED, load_scenario
 from regflow.sets import COLUMN_ROWS, gap_norm, matvec, row_norm, row_sum
 from regflow.validation import as_point, short_row
 
@@ -250,3 +251,185 @@ def test_as_point_rejects_a_non_finite_short_row(d, bad):
                 as_point(q, d)
     x = np.resize([5e-324, -0.0, 1e308], d)
     np.testing.assert_array_equal(as_point(x[None], d), x[None])
+
+
+def row_sets(d):
+    """One set of each kind with a row kernel in dimension d: affine subspaces of
+    dimension 0, 1 and d, and a box with flat and signed-zero bounds."""
+    rng = np.random.default_rng(300 + d)
+    a, c = rng.standard_normal(d), rng.standard_normal(d)
+    return {"halfspace": rf.HalfSpace(a, 0.0), "hyperplane": rf.Hyperplane(a, -0.2),
+            "ball": rf.Ball(c, 0.7),
+            "box": rf.Box(np.resize([-0.0, 0.0, -1.0, 0.5, 0.0], d),
+                          np.resize([0.0, -0.0, 2.0, 0.5, 1.0], d)),
+            "affine_k0": rf.AffineSubspace(np.zeros((d, 0)), c),
+            "affine_k1": rf.AffineSubspace(a, c),
+            "affine_kd": rf.AffineSubspace(rng.standard_normal((d, d)), c)}
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("kind", list(row_sets(1)))
+def test_row_kernel_answers_like_a_batch_row(kind, d):
+    # _row_project of a row is the same row inside a two-row numpy batch, bit for
+    # bit, nan signs included; it declines (None) only where numpy rescues a
+    # ball's overflowing norm
+    s = row_sets(d)[kind]
+    rows = short_rows(d)
+    rows += [np.resize([0.0, -0.0, 0.5, -1.0, 2.0], d), np.resize([-0.0, 0.0, 0.5, 2.0], d)]
+    with np.errstate(all="ignore"):
+        for r, other in zip(rows, rows[1:] + rows[:1]):
+            want = s._project(np.vstack([r, other]))[0]
+            row = r.tolist()
+            got = s._row_project(row)
+            np.testing.assert_array_equal(np.array(row).view(np.int64), r.view(np.int64))
+            if got is None:
+                assert kind == "ball" and np.isinf(row_norm(r - s.center))
+                continue
+            assert type(got) is list and len(got) == d
+            assert all(type(v) is float for v in got)
+            np.testing.assert_array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
+def test_box_row_ties_give_the_bound():
+    # on a tie np.maximum and np.minimum return their second operand, the bound,
+    # where Python's max and min return their first, the entry
+    box = rf.Box([-0.0, 0.0, -1.0], [1.0, -0.0, 0.0])
+    row = [0.0, 0.0, -0.0]
+    got = box._row_project(row)
+    want = box._project(np.array([row, row]))[0]
+    np.testing.assert_array_equal(np.array(got).view(np.int64), want.view(np.int64))
+    assert np.signbit(got).tolist() == [True, True, False]
+    builtin = [min(max(v, lo), hi) for v, lo, hi in zip(row, box.lower, box.upper)]
+    assert np.signbit(builtin).tolist() == [False, False, True]
+
+
+def test_box_row_keeps_the_half_space_steps_nan():
+    # HalfSpace([1e150, 0], 0) steps [1e200, 1] to [-inf, nan]; the clip keeps
+    # the nan, as numpy's does, so Dykstra sees a nan movement
+    step = rf.HalfSpace([1e150, 0.0], 0.0)._row_project([1e200, 1.0])
+    assert step[0] == -np.inf and np.isnan(step[1])
+    box = rf.Box([-1.0, -1.0], [1.0, 1.0])
+    got = box._row_project(step)
+    want = box._project(np.array([step, step]))[0]
+    assert got[0] == -1.0 and np.isnan(got[1])
+    np.testing.assert_array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
+def test_ball_row_declines_an_overflowing_norm():
+    ball = rf.Ball([0.0, 0.0], 1.0)
+    assert ball._row_project([1e200, 1e200]) is None
+    np.testing.assert_array_equal(ball._project(np.array([1e200, 1e200])),
+                                  ball._project(np.array([[1e200, 1e200]] * 2))[0])
+
+
+def assert_same_result(got, want):
+    for g, w in zip((got.distance, got.witness, got.certified_tol),
+                    (want.distance, want.witness, want.certified_tol)):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        np.testing.assert_array_equal(np.asarray(g).view(np.int64),
+                                      np.asarray(w).view(np.int64))
+
+
+def as_row_result(batch, i):
+    """Row i of a batch answer, in a point answer's types."""
+    return rf.DistanceResult(float(batch.distance[i]), batch.witness[i],
+                             float(batch.certified_tol[i]))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_oracle_rows_answer_like_the_batch_on_the_scenarios_own_states(name):
+    # the per-sample queries of `run`: each state alone, as a point and as a
+    # one-row batch, equals its row of one batched query, in bits and types
+    sc = load_scenario(name)
+    states = rf.integrate_flow(sc.operator, sc.x0, sc.schedule, sc.integrator).states()
+    batch = sc.oracle.distance_to(states)
+    for i, x in enumerate(states):
+        assert_same_result(sc.oracle.distance_to(x), as_row_result(batch, i))
+        one = sc.oracle.distance_to(x[None])
+        assert_same_result(one, rf.DistanceResult(batch.distance[i:i + 1],
+                                                  batch.witness[i:i + 1],
+                                                  batch.certified_tol[i:i + 1]))
+
+
+def test_dykstra_row_nan_movement_is_the_batch_rows_error():
+    sets = [rf.HalfSpace([1e150, 0.0], 0.0), rf.Box([-1.0, -1.0], [1.0, 1.0])]
+    messages = []
+    for x in ([1e200, 1.0], [[1e200, 1.0]], [[1e200, 1.0], [1e200, 1.0]]):
+        with np.errstate(invalid="ignore"), pytest.raises(UsageError) as exc:
+            rf.dykstra_project(sets, x, max_iter=MAX_STEPS)
+        messages.append(str(exc.value))
+    assert messages == [messages[-1]] * 3
+    assert messages[0].startswith("Dykstra iterate at row 0 must be finite")
+
+
+def test_dykstra_row_out_of_cycles_is_the_batch_rows_error():
+    # a ball tangent to a line: from (1, 0.5) the iterates crawl past max_iter
+    sets = [rf.Ball([0.0, 1.0], 1.0), rf.Hyperplane([0.0, 1.0], 0.0)]
+    failures = []
+    for x in ([1.0, 0.5], [[1.0, 0.5], [1.0, 0.5]]):
+        with pytest.raises(rf.ConvergenceError) as exc:
+            rf.dykstra_project(sets, x, max_iter=30)
+        failures.append(exc.value)
+    point, batch = failures
+    assert str(point) == str(batch)
+    assert str(point).startswith("Dykstra did not meet tol=1e-12 within 30 cycles at row 0")
+    assert_same_result(point.result, as_row_result(batch.result, 0))
+
+
+def test_dykstra_row_restarts_on_numpy_when_a_ball_overflows(monkeypatch):
+    ball, box = rf.Ball([0.0, 0.0], 1.0), rf.Box([-1.0, -1.0], [1.0, 1.0])
+    calls = []
+    kernel = ball._array_project
+    monkeypatch.setattr(ball, "_array_project", lambda z: calls.append(z.shape) or kernel(z))
+    x = [1e200, 0.0]
+    point = rf.dykstra_project([ball, box], x)
+    assert calls and calls[0] == (1, 2)  # the row went to numpy's loop
+    batch = rf.dykstra_project([ball, box], [x, x])
+    assert_same_result(point, as_row_result(batch, 0))
+    assert point.distance == 1e200 - 1.0 and point.certified_tol < 1e-12
+
+
+def row_oracles(d):
+    """An oracle of each kind in dimension d: a point, an exact set of each kind,
+    an affine, a box and a Dykstra intersection."""
+    rng = np.random.default_rng(400 + d)
+    a, b, c = rng.standard_normal((3, d))
+    oracles = {"point": rf.SinglePoint(c)}
+    oracles.update({f"exact_{kind}": rf.ExactSet(s) for kind, s in row_sets(d).items()})
+    oracles["affine"] = rf.Intersection([rf.Hyperplane(a, 0.3), rf.AffineSubspace(b, c)])
+    oracles["box"] = rf.Intersection([rf.Box(np.full(d, -1.0), np.full(d, 2.0)),
+                                      rf.Box(np.full(d, -0.0), np.full(d, 3.0))])
+    oracles["dykstra"] = rf.Intersection(
+        [rf.HalfSpace(a, 0.5), rf.Ball(np.zeros(d), 2.0), rf.Box(np.full(d, -1.5), np.full(d, 1.5))],
+        max_iter=200)
+    return oracles
+
+
+def outcome(oracle, x):
+    """The answer, or the error's message and the result it carries."""
+    try:
+        return oracle.distance_to(x), None
+    except (rf.ConvergenceError, UsageError) as exc:
+        return getattr(exc, "result", None), f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("kind", list(row_oracles(1)))
+def test_oracle_row_answers_like_a_batch_row_on_hostile_rows(kind, d):
+    # finite rows with signed zeros, subnormals, 1e200 and 1e308 entries and a
+    # row whose compensated sum differs: a point and a one-row batch answer as
+    # the row inside a two-row batch, errors and their results included
+    oracle = row_oracles(d)[kind]
+    rows = [r for r in short_rows(d) if np.isfinite(r).all()]
+    with np.errstate(all="ignore"):
+        for r in rows:
+            batch, message = outcome(oracle, np.vstack([r, r]))
+            for x in (r.copy(), r[None].copy()):
+                got, got_message = outcome(oracle, x)
+                assert got_message == message
+                if batch is None:
+                    assert got is None
+                    continue
+                want = as_row_result(batch, 0) if x.ndim == 1 else rf.DistanceResult(
+                    batch.distance[:1], batch.witness[:1], batch.certified_tol[:1])
+                assert_same_result(got, want)
