@@ -8,18 +8,18 @@ not just a number. Oracles answer a point ``(d,)`` or, row-wise, a batch
 closed form where it has one (boxes intersect in a box, one clip; affine sets
 in an affine set, one matrix product) and by Dykstra's algorithm otherwise.
 
-``run`` asks one point at a time, once per recorded sample. A short row
-(``validation.short_row``: a point or one-row batch of fewer than 8 entries)
-is answered in Python floats on the sets' row kernels (``_row_project``, see
+``run`` asks one point at a time, once per recorded sample. A short point
+(``validation.short_row``: a point ``(d,)`` of fewer than 8 entries) is
+answered in Python floats on the sets' row kernels (``_row_project``, see
 ``regflow.sets``), in numpy's order, so the result equals the same row of a
-batch query bit for bit, in numpy's types: floats for a point, ``(1,)``
-arrays for a one-row batch. ``ExactSet`` clips twice and measures two gaps,
-``SinglePoint`` one gap, the affine solve takes the factored ``M x + shift``
-and its certificate from the row kernels, and Dykstra cycles on lists with
-the numpy loop's stopping rule and errors, measuring its certificate through
-each set's public ``distance``. Where a row kernel declines a row (an
-overflowing ball norm), or a witness is not finite, the query takes the numpy
-path from the start.
+batch query bit for bit, as floats and a ``(d,)`` witness. A batch, one row
+``(1, d)`` included, takes the numpy path. ``ExactSet`` clips twice and
+measures two gaps, ``SinglePoint`` one gap, the affine solve takes the
+factored ``M x + shift`` and its certificate from the row kernels, and Dykstra
+cycles on lists with the numpy loop's stopping rule and errors, measuring its
+certificate through each set's public ``distance``. Where a row kernel
+declines a point (an overflowing ball norm), or a witness is not finite, the
+query takes the numpy path from the start.
 """
 
 import math
@@ -83,13 +83,9 @@ def _row_violation(sets: list[PrimitiveSet], witness: list) -> float | None:
     return worst
 
 
-def _row_result(x: np.ndarray, row: list, witness: list, certified: float) -> DistanceResult:
-    """The answer for the short row ``x`` (``row`` as floats) in numpy's types:
-    floats for a point ``(d,)``, ``(1,)`` arrays for a one-row batch ``(1, d)``."""
-    distance = short_gap_norm(row, witness)
-    if x.ndim == 1:
-        return DistanceResult(distance, np.array(witness), certified)
-    return DistanceResult(np.array([distance]), np.array([witness]), np.array([certified]))
+def _row_result(row: list, witness: list, certified: float) -> DistanceResult:
+    """The answer for a short point (``row`` as floats) in a point's types."""
+    return DistanceResult(short_gap_norm(row, witness), np.array(witness), certified)
 
 
 class _FactoredAffine(tuple):
@@ -149,7 +145,7 @@ def affine_intersection_project(sets: list[PrimitiveSet], x) -> DistanceResult:
         if all(map(math.isfinite, witness)):
             certified = _row_violation(sets, witness)
             if certified is not None:
-                return _row_result(x, row, witness, certified)
+                return _row_result(row, witness, certified)
     witness = matvec(sets.matrix, x) + sets.shift
     return DistanceResult(gap_norm(x, witness), witness, _violation(sets, witness))
 
@@ -178,7 +174,7 @@ def dykstra_project(
     run on to ``max_iter``. Raises
     ConvergenceError naming the first failing row, carrying the best iterates
     (their violation measured at the end), if ``max_iter`` cycles are exhausted
-    first. A short row cycles on lists of floats (``_dykstra_row``), with the
+    first. A short point cycles on lists of floats (``_dykstra_row``), with the
     same results and errors.
     """
     if not sets:
@@ -196,7 +192,7 @@ def dykstra_project(
     answer = None if row is None else _dykstra_row(sets, row, tol, max_iter)
     if answer is not None:
         z, certified, met = answer
-        result = _row_result(x, row, z, certified)
+        result = _row_result(row, z, certified)
         if not met:
             raise ConvergenceError(_unmet(tol, max_iter, 0, certified), result=result)
         return result
@@ -224,14 +220,8 @@ def dykstra_project(
             if not done.any():  # neither moving nor stopped: a nan movement
                 raise UsageError(_NAN_MOVEMENT.format(rows[np.argmin(moving)]))
             # the violation is measured only on rows that stopped moving
-            every = done.all()
-            violation = _violation(sets, z if every else z[done])
+            violation = _violation(sets, z[done])
             met = violation < tol
-            if every and met.all():  # the last rows stop together: nothing to compact
-                out[rows] = z
-                certified[rows] = violation
-                rows = rows[:0]
-                break
             if met.any():
                 done[done] = met
                 out[rows[done]] = z[done]
@@ -319,7 +309,7 @@ class ExactSet(FixSetOracle):
             if w is not None and all(map(math.isfinite, w)):
                 ww = self.set._row_project(w)
                 if ww is not None:
-                    return _row_result(x, row, w, short_gap_norm(w, ww))
+                    return _row_result(row, w, short_gap_norm(w, ww))
         w = self.set._project(x)
         if not np.isfinite(w).all():
             raise UsageError("the nearest point must be finite (no NaN/Inf): the "
@@ -343,12 +333,10 @@ class SinglePoint(FixSetOracle):
         x = as_point(x, self.dim)
         row = short_row(x)
         if row is not None:
-            return _row_result(x, row, self._p, 0.0)
-        if x.ndim == 1:
-            return DistanceResult(gap_norm(x, self.point), self.point.copy(), 0.0)
+            return _row_result(row, self._p, 0.0)
         w = np.empty_like(x)
         w[...] = self.point
-        return DistanceResult(gap_norm(x, w), w, np.zeros(x.shape[0]))
+        return DistanceResult(gap_norm(x, w), w, 0.0 if x.ndim == 1 else np.zeros(x.shape[0]))
 
 
 class Intersection(FixSetOracle):

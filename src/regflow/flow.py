@@ -570,6 +570,8 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
     more than MAX_STEPS accepted steps, a ``fun`` at t0 that is not finite, or an
     initial step that is not positive (nan or 0, from a ``y0`` that is not finite
     or a ``fun`` that overflows the step-size norms) fails the solve (status -1).
+    ``nfev`` counts the calls of ``fun``: two for the initial step, six per step
+    attempt.
     """
     t, tf = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -577,12 +579,7 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
         warnings.warn("At least one element of `rtol` is too small. "
                       f"Setting `rtol = np.maximum(rtol, {_MIN_RTOL})`.", stacklevel=2)
         rtol = _MIN_RTOL
-    nfev = 0
-
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        return fun(t, y)
+    nfev = 2
 
     def result(status, message):
         if t_eval is None:
@@ -594,14 +591,14 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
     # the initial step (Hairer, Norsett & Wanner, II.4); a fun or y0 at t0 that is
     # not finite, or overflows the norms, fails the solve without a warning (a
     # small y0 takes h0 = 1e-6 whatever fun is, so fun is tested itself)
-    f = rhs(t, y)
+    f = fun(t, y)
     abs_y = np.abs(y)
     scale = atol + abs_y * rtol
     with np.errstate(over="ignore", invalid="ignore"):
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, tf - t)
         y1 = y + h0 * f
-    f1 = rhs(t + h0, y1)
+    f1 = fun(t + h0, y1)
 
     if t_eval is None:
         ts, ys = [t], [y]
@@ -634,9 +631,10 @@ def solve_ivp(fun, t_span, y0, *, rtol, atol, t_eval=None) -> OdeResult:
             h_abs = abs(h)
             K[0] = f
             for s, (c, Ks, a) in enumerate(stages, start=1):
-                K[s] = rhs(t + c * h, y + Ks.dot(a) * h)
+                K[s] = fun(t + c * h, y + Ks.dot(a) * h)
             y_new = y + h * K5T.dot(_B)
-            K[-1] = f_new = rhs(t + h, y_new)
+            K[-1] = f_new = fun(t + h, y_new)
+            nfev += 6
             abs_y_new = np.abs(y_new)
             scale = atol + np.maximum(abs_y, abs_y_new) * rtol
             err = _rms(KT.dot(_E) * h / scale)

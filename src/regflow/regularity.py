@@ -14,11 +14,12 @@ Operators and oracles are evaluated on all samples as one ``(n, d)`` batch.
 """
 
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateEstimateError, UsageError
+from .errors import DegenerateEstimateError, NumericRangeError, UsageError
 from .fixset import FixSetOracle, Intersection, _violation, residual
 from .flow import Trajectory, _schedule_of
 from .operators import Operator, compose, convex_combination
@@ -153,14 +154,27 @@ def _fit_ratio(dists: np.ndarray, resids: np.ndarray, mode: str) -> tuple[float,
     return kappa, gamma
 
 
-def _certify(pts: np.ndarray, base: np.ndarray, oracle: FixSetOracle, mode: str,
+def _all_finite(values: np.ndarray, what: str) -> None:
+    """Raise NumericRangeError naming how many samples have a non-finite ``what``."""
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise NumericRangeError(f"{bad} of {values.size} samples have a non-finite {what}")
+
+
+def _certify(pts: np.ndarray, measure, what: str, oracle: FixSetOracle, mode: str,
              degenerate: str) -> tuple[float, float, float, int]:
     """(kappa, gamma, max_violation, excluded) with d(x, F) <= kappa * base^gamma
-    on every sample whose base clears the degeneracy floor."""
+    on every sample whose base, ``measure(pts)`` (the ``what`` of each sample),
+    clears the degeneracy floor. A base or an oracle distance that is not
+    finite certifies nothing: NumericRangeError names how many samples have one."""
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        base = measure(pts)
+    _all_finite(base, what)
     keep = base >= DEGENERACY_FLOOR
     if not keep.any():
         raise DegenerateEstimateError(degenerate)
     dists = oracle.distance_to(pts[keep]).distance
+    _all_finite(dists, "oracle distance")
     kappa, gamma = _fit_ratio(dists, base[keep], mode)
     max_violation = float(np.max(dists / (kappa * base[keep] ** gamma)))
     return kappa, gamma, max_violation, int(np.count_nonzero(~keep))
@@ -176,14 +190,15 @@ def estimate_operator_regularity(
 ) -> RegularityEstimate:
     """Estimate (kappa, gamma) with d(x, Fix T) <= kappa * ||x-T(x)||^gamma on samples.
 
-    Samples with residual below the degeneracy floor are excluded and counted.
+    Samples with residual below the degeneracy floor are excluded and counted;
+    a residual or oracle distance that is not finite raises NumericRangeError.
     Identical (seed, region, n_samples) inputs give bitwise identical output.
     """
     if n_samples < 100:
         raise UsageError("need at least 100 samples for a meaningful estimate")
     pts = sample_region(region, n_samples, seed)
     kappa, gamma, max_violation, excluded = _certify(
-        pts, residual(op, pts), oracle, mode,
+        pts, partial(residual, op), "residual", oracle, mode,
         "all samples fell below the degeneracy floor (operator is the "
         "identity on this region?)")
     return RegularityEstimate(mode, kappa, gamma, region, n_samples,
@@ -204,7 +219,8 @@ def estimate_collection_regularity(
     sets (exact solve for affine collections, Dykstra otherwise); infeasible
     collections fail at oracle construction. When the intersection is known in
     closed form (e.g. a tangency point, where Dykstra converges sublinearly),
-    pass it as ``oracle``.
+    pass it as ``oracle``. A set distance or oracle distance that is not finite
+    raises NumericRangeError.
     """
     if n_samples < 100:
         raise UsageError("need at least 100 samples for a meaningful estimate")
@@ -212,7 +228,7 @@ def estimate_collection_regularity(
         oracle = Intersection(sets)
     pts = sample_region(region, n_samples, seed)
     tau, theta, max_violation, excluded = _certify(
-        pts, _violation(sets, pts), oracle, mode,
+        pts, partial(_violation, sets), "set distance", oracle, mode,
         "all samples lie in every set on this region")
     return CollectionEstimate(tau, theta, region, n_samples, max_violation, excluded)
 

@@ -12,12 +12,12 @@ rows in pairwise blocks; ``row_sum`` does the short-row sum of a large batch as
 array adds over its columns and leaves everything else, a point included, to
 ``np.add.reduce``.
 
-One row of fewer than 8 entries, a point ``(d,)`` or a one-row batch ``(1, d)``,
-is where numpy's per-call cost is the whole cost. ``validation.short_row``
-picks it out by shape alone. Each set kind has a row kernel,
-``_row_project(row: list[float]) -> list[float] | None``: ``_project`` calls it
-on such a row, and the Fix-set oracles (``regflow.fixset``) call it on lists
-directly, so a query turns its row into floats once. ``matvec`` and
+A point ``(d,)`` of fewer than 8 entries is where numpy's per-call cost is the
+whole cost. ``validation.short_row`` picks it out by shape alone; a batch, one
+row ``(1, d)`` included, keeps the numpy kernels. Each set kind has a row
+kernel, ``_row_project(row: list[float]) -> list[float] | None``: ``_project``
+calls it on such a point, and the Fix-set oracles (``regflow.fixset``) call it
+on lists directly, so a query turns its point into floats once. ``matvec`` and
 ``gap_norm`` (``short_gap_norm`` on two lists) have the same short paths. They
 do numpy's operations in Python floats, in numpy's order: elementwise products
 and differences, sums from 0.0 left to right (``_dot``), one correctly rounded
@@ -35,15 +35,13 @@ import math
 import numpy as np
 
 from .errors import ConstructionError
-from .validation import as_matrix, as_point, as_vector, short_row
+from .validation import SHORT_ROW, as_matrix, as_point, as_vector, short_row
 
 # Rank decisions when orthonormalizing affine bases.
 RANK_TOL = 1e-12
 # Batches of at least this many rows are summed by columns in ``row_sum``. Below
 # it one reduction call costs less than d array adds (numpy 2.4.6, x86-64: a
-# (1, 2) row 2.0 us against 4.3 us). Dykstra's numpy loop runs a point as a
-# (1, d) row: one of fewer than 8 entries cycles on the row kernels instead
-# (``short_row``), a longer one takes this reduction.
+# (1, 2) row 2.0 us against 4.3 us).
 COLUMN_ROWS = 128
 
 
@@ -57,7 +55,7 @@ def row_sum(v: np.ndarray):
     array adds) and any other row length go to ``np.add.reduce`` itself.
     """
     d = v.shape[-1]
-    if v.ndim < 2 or not 0 < d < 8 or v.size < COLUMN_ROWS * d:
+    if v.ndim < 2 or not 0 < d < SHORT_ROW or v.size < COLUMN_ROWS * d:
         return np.add.reduce(v, axis=-1)
     cols = v.T  # cols[k] is entry k of every row, transposed for 3-D and up
     total = 0.0 + cols[0]
@@ -81,19 +79,13 @@ def _dot(u, v) -> float:
     return total
 
 
-def _row_like(values, x: np.ndarray) -> np.ndarray:
-    """``values`` as a fresh float array shaped like the single row ``x``."""
-    return np.array(values if x.ndim == 1 else [values])
-
-
 def gap_norm(x: np.ndarray, w: np.ndarray):
     """``row_norm(x - w)`` with no warning: inf where the distance leaves the float
     range, and finite wherever it does not. A row whose squares overflow is
     measured again, scaled by a power of two; every other row is ``row_norm``'s."""
     xs, ws = short_row(x), short_row(w)
     if xs is not None and ws is not None and x.shape == w.shape:
-        norm = short_gap_norm(xs, ws)
-        return norm if x.ndim == 1 else np.array([norm])
+        return short_gap_norm(xs, ws)
     return _array_gap_norm(x, w)
 
 
@@ -134,7 +126,7 @@ def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     row = short_row(x)
     if row is None:
         return row_sum(x[..., None, :] * m)
-    return _row_like([_dot(row, r) for r in m.tolist()], x)
+    return np.array([_dot(row, r) for r in m.tolist()])
 
 
 class PrimitiveSet:
@@ -152,13 +144,13 @@ class PrimitiveSet:
         return self._project(as_point(x, self.dim))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        """The raw kernel on a validated ``x``: a short row (``short_row``) goes
+        """The raw kernel on a validated ``x``: a short point (``short_row``) goes
         to ``_row_project``, anything else, or a row it declines, to numpy."""
         row = short_row(x)
         if row is not None:
             out = self._row_project(row)
             if out is not None:
-                return _row_like(out, x)
+                return np.array(out)
         return self._array_project(x)
 
     def _row_project(self, row: list[float]) -> list[float] | None:
@@ -225,8 +217,9 @@ class HalfSpace(_Linear):
         return self._row_step(row, excess) if excess > 0.0 else row
 
     def _array_project(self, x):
-        excess = self._excess(x)
-        return np.where(excess > 0.0, x - excess * self.normal, x)
+        with np.errstate(over="ignore", invalid="ignore"):  # <a, x> may overflow
+            excess = self._excess(x)
+            return np.where(excess > 0.0, x - excess * self.normal, x)
 
 
 class Hyperplane(_Linear):
@@ -238,7 +231,8 @@ class Hyperplane(_Linear):
         return self._row_step(row, self._row_excess(row))
 
     def _array_project(self, x):
-        return x - self._excess(x) * self.normal
+        with np.errstate(over="ignore", invalid="ignore"):  # <a, x> may overflow
+            return x - self._excess(x) * self.normal
 
 
 class AffineSubspace(PrimitiveSet):

@@ -1,5 +1,5 @@
-"""Input validation helpers, and the rule that sends a single short row to the
-point kernels' Python-float paths."""
+"""Input validation helpers, and the rule that sends a short point to the
+kernels' Python-float paths."""
 
 import math
 
@@ -8,23 +8,19 @@ import numpy as np
 from .errors import UsageError
 
 _FLOAT = np.dtype(float)
+# numpy (2.x) adds a row of fewer than this many entries left to right from 0.0,
+# which a Python loop can repeat bit for bit; longer rows it sums pairwise.
+SHORT_ROW = 8
 
 
 def short_row(x) -> list[float] | None:
-    """``x``'s entries as Python floats when ``x`` is one float64 row, ``(d,)`` or
-    ``(1, d)`` with 0 < d < 8; otherwise None, and the caller keeps its numpy path.
-
-    Below 8 entries numpy sums a row left to right from 0.0, which a Python loop
-    can repeat bit for bit (see ``regflow.sets`` for the rules such a path keeps).
+    """``x``'s entries as Python floats when ``x`` is a float64 point ``(d,)`` with
+    0 < d < ``SHORT_ROW``; otherwise None, and the caller keeps its numpy path
+    (see ``regflow.sets`` for the rules the Python-float path keeps).
     """
-    if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT or x.ndim != 1:
         return None
-    shape = x.shape
-    if len(shape) == 1:
-        return x.tolist() if 0 < shape[0] < 8 else None
-    if len(shape) == 2 and shape[0] == 1 and 0 < shape[1] < 8:
-        return x.tolist()[0]
-    return None
+    return x.tolist() if 0 < x.shape[0] < SHORT_ROW else None
 
 
 def _checked(x, dim: int | None, name: str, ndims: tuple, shape: str) -> np.ndarray:

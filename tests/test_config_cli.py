@@ -817,6 +817,25 @@ class TestCLIReg:
         assert captured.out == "" and "as the output directory" in captured.err
         assert list(tmp_path.rglob("*")) == [afile]
 
+    @pytest.mark.parametrize("radius, bad", [(1e159, 39), (1e200, 48)])
+    def test_non_finite_residual_exits_3_without_warning(self, tmp_path, capfd, radius, bad):
+        # <a, x> overflows on part of the region; at 1e200 no residual clears the
+        # degeneracy floor, which is not why the estimate fails
+        half = {"kind": "halfspace", "normal": [1e150, 0.0], "offset": 0.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(minimal_config(
+            operator={"kind": "project", "set": half}, fix_oracle={"kind": "exact", "set": half},
+            regularity={"n_samples": 100, "seed": 0,
+                        "region": {"center": [0.0, 0.0], "radius": radius}})))
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["reg", str(path), "--out-dir", str(tmp_path)]) == 3
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"numeric error: {bad} of 100 samples have a non-finite "
+                                "residual\n")
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         assert main(["reg", "two_lines_60deg", "--seed", "-1",
                      "--out-dir", str(tmp_path / "out")]) == 2

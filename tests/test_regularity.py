@@ -133,6 +133,26 @@ class TestOperatorEstimator:
         assert est.excluded > 0
         assert est.excluded + est.n_samples >= est.n_samples  # counted, not dropped silently
 
+    @pytest.mark.parametrize("radius, bad", [(1e159, 39), (1e200, 48)])
+    def test_non_finite_residual_or_set_distance_raises(self, radius, bad):
+        # <a, x> overflows on part of the region: no constant is certified there
+        h, region = rf.HalfSpace([1e150, 0.0], 0.0), ball_region(radius)
+        with pytest.raises(rf.NumericRangeError,
+                           match=rf"^{bad} of 100 samples have a non-finite residual$"):
+            rf.estimate_operator_regularity(rf.projector(h), rf.ExactSet(h), region, 100,
+                                            "linear", 0)
+        with pytest.raises(rf.NumericRangeError,
+                           match=rf"^{bad} of 100 samples have a non-finite set distance$"):
+            rf.estimate_collection_regularity([h], region, 100, "linear", 0)
+
+    def test_non_finite_oracle_distance_raises(self):
+        # finite residuals, but every distance to the point exceeds the float range
+        P = rf.projector(rf.Box([-1.0, -1.0], [1.0, 1.0]))
+        with pytest.raises(rf.NumericRangeError,
+                           match=r"^100 of 100 samples have a non-finite oracle distance$"):
+            rf.estimate_operator_regularity(P, rf.SinglePoint([1.7e308, 0.0]),
+                                            rf.Region([-1.7e308, 0.0], 1.0), 100, "linear", 0)
+
 
 class TestCollectionEstimator:
     def test_single_set_trivial(self):

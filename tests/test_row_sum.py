@@ -195,7 +195,7 @@ def nan_bits(v):
 def test_short_row_is_one_row_of_fewer_than_8(d):
     v = np.arange(float(d))
     want = v.tolist() if 0 < d < 8 else None
-    assert short_row(v) == want and short_row(v[None]) == want
+    assert short_row(v) == want and short_row(v[None]) is None
     for other in (np.tile(v, (2, 1)), v[None, None], np.zeros((0, d)), v.astype(np.float32),
                   v.tolist()):
         assert short_row(other) is None
